@@ -58,6 +58,7 @@ from .geometry import (
     COMetric,
     CompactProbe,
     CPoint,
+    PointAxes,
     TorusPoint,
     default_points_per_dim,
     metric_distance,

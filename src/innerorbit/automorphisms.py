@@ -28,7 +28,7 @@ from .errors import (
     PoleHit,
     ValidityError,
 )
-from .geometry import CLOSURE_TOL, CPoint, TorusPoint
+from .geometry import CLOSURE_TOL, CPoint, PointAxes, TorusPoint
 
 TWO_PI = 2.0 * math.pi
 
@@ -158,12 +158,19 @@ class PolydiskAutomorphism:
     def perm_one_based(self) -> tuple:
         return tuple(p + 1 for p in self.perm)
 
-    def transform(self, pts: np.ndarray) -> np.ndarray:
-        """Apply to an array of points, shape (m, n) -> (m, n)."""
-        out = np.empty_like(pts)
-        for j in range(self.dimension):
-            out[:, j] = self.factors[j](pts[:, self.perm[j]])
-        return out
+    def transform(self, pts):
+        """Apply to a PointAxes, giving a PointAxes on the same layout, or to
+        an array of points, shape (m, n) -> (m, n).
+
+        Output coordinate j is factor j applied to input coordinate
+        perm[j], array by array: a tensor grid maps to a permuted tensor
+        grid with n * (2Q+1) Moebius evaluations.
+        """
+        axes = pts if isinstance(pts, PointAxes) else PointAxes.of_array(pts)
+        out = PointAxes(
+            tuple(f(axes.coords[p]) for f, p in zip(self.factors, self.perm))
+        )
+        return out if axes is pts else out.to_array()
 
 
 def _point_array(point, dimension: int) -> np.ndarray:

@@ -658,7 +658,7 @@ def _mode_verify(cfg: RunConfig, out_dir: Path):
             entry["random_point_error"] = float(
                 np.max(
                     np.abs(
-                        x._eval(phi.transform(sample))
+                        x.eval_grid(phi.transform(sample))
                         - target.eval_grid(sample)
                     )
                 )
@@ -740,3 +740,7 @@ def run_cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -41,7 +41,7 @@ from .errors import (
     UnsupportedTargetShape,
     ValidityError,
 )
-from .geometry import CLOSURE_TOL, CompactProbe, TorusPoint, probe_sup
+from .geometry import CLOSURE_TOL, CompactProbe, PointAxes, TorusPoint, probe_sup
 from .holo import (
     Constant,
     HoloFunction,
@@ -138,9 +138,9 @@ class UniversalityRun:
 def validate_targets(config: EngineConfig) -> None:
     """Ball membership on the probe grid; the grammar already guarantees it,
     so a violation indicates a corrupted tree."""
-    grid = config.probe.grid()
+    axes = config.probe.axes()
     for i, t in enumerate(config.targets, start=1):
-        sup = float(np.max(np.abs(t.eval_grid(grid))))
+        sup = float(np.max(np.abs(t._eval(axes))))
         if sup > 1.0 + CLOSURE_TOL:
             raise ValidityError(f"target {i} has grid sup {sup:.17g} > 1")
 
@@ -218,23 +218,23 @@ def _project_with_error(f, pin, j, tol, probe, depth):
 # stage index search
 
 def stage_condition_values(
-    seq, grid: np.ndarray, factors, projected: HoloFunction, k: int
+    seq, axes: PointAxes, factors, projected: HoloFunction, k: int
 ):
     """(max over earlier factors of sup |x_i o phi_k - 1|,
-        sup |f~ o phi_k^{-1} - 1|) on the probe grid."""
+        sup |f~ o phi_k^{-1} - 1|) on the probe grid ``axes``."""
     phi = seq.at(k)
-    image = phi.transform(grid)
+    image = phi.transform(axes)
     cond_a = 0.0
     for x in factors:
         cond_a = max(cond_a, float(np.max(np.abs(x._eval(image) - 1.0))))
-    pre = auto_inverse(phi).transform(grid)
+    pre = auto_inverse(phi).transform(axes)
     cond_b = float(np.max(np.abs(projected._eval(pre) - 1.0)))
     return cond_a, cond_b
 
 
 def choose_stage_index(
     selection: SubsequenceSelection,
-    grid: np.ndarray,
+    axes: PointAxes,
     factors,
     projected: HoloFunction,
     j: int,
@@ -242,7 +242,8 @@ def choose_stage_index(
     delta: float,
     k_max: int,
 ):
-    """Smallest admissible subsequence index above ``floor``.
+    """Smallest admissible subsequence index above ``floor``, with both
+    conditions measured on the probe grid ``axes``.
 
     Both conditions contract as the parameters approach the boundary, so the
     search doubles a step until an admissible index appears, then bisects
@@ -253,7 +254,7 @@ def choose_stage_index(
     best = {"index": None, "condition_a": math.inf, "condition_b": math.inf}
 
     def admissible(k: int) -> bool:
-        a, b = stage_condition_values(seq, grid, factors, projected, k)
+        a, b = stage_condition_values(seq, axes, factors, projected, k)
         if max(a, b) < max(best["condition_a"], best["condition_b"]):
             best.update({"index": k, "condition_a": a, "condition_b": b})
         return a <= tol and b <= tol
@@ -312,6 +313,12 @@ def choose_stage_index(
 def _corrector_index_for(j: int, j_min: int, eta: float, eps_j: float) -> int:
     """Raise the corrector index until the corrector is invisible at depth
     eta: |psi - 1| <= 2 * 2^-idx / eta <= eps_j / 2."""
+    if eta <= 0.0:
+        raise InterferenceBudgetExceeded(
+            f"stage {j} image compact reaches the boundary in binary64 "
+            f"(eta = {eta!r}); no corrector index can be invisible there",
+            {"eta": eta},
+        )
     adaptive = math.ceil(math.log2(4.0 / (eta * eps_j)))
     idx = max(j_min, j + j_min, adaptive)
     if idx > _MAX_CORRECTOR_INDEX:
@@ -339,12 +346,12 @@ def build_factor(
     interference on earlier image compacts is checked, not assumed.
     """
     seq = config.sequence
-    grid = config.probe.grid()
+    axes = config.probe.axes()
     phi = seq.at(n_j)
-    image = phi.transform(grid)
+    image = phi.transform(axes)
 
     pulled = pullback(projected.approximant, auto_inverse(phi))
-    eta = float(np.min(1.0 - np.abs(image[:, 0])))
+    eta = float(np.min(1.0 - np.abs(image.coords[0])))
     eps_j = config.stage_tolerance(j)
     idx = _corrector_index_for(j, config.j_min, eta, eps_j)
     factor = make_generating_element(idx, lam, pulled)
@@ -360,7 +367,7 @@ def build_factor(
         )
 
     fidelity = float(
-        np.max(np.abs(factor.product._eval(image) - projected.product._eval(grid)))
+        np.max(np.abs(factor.product._eval(image) - projected.product._eval(axes)))
     )
     if fidelity > eps_j:
         raise InterferenceBudgetExceeded(
@@ -387,7 +394,7 @@ def run_universality(config: EngineConfig) -> UniversalityRun:
         config.boundary_tol,
     )
     lam, gamma = selection.lam, selection.gamma
-    grid = config.probe.grid()
+    axes = config.probe.axes()
     seq = config.sequence
 
     stages: list = []
@@ -413,7 +420,7 @@ def run_universality(config: EngineConfig) -> UniversalityRun:
             search_floor = floor
             while True:
                 n_j = choose_stage_index(
-                    selection, grid, [x.product for x in factors],
+                    selection, axes, [x.product for x in factors],
                     projected.product, j, search_floor, config.delta, config.k_max,
                 )
                 try:
@@ -421,9 +428,11 @@ def run_universality(config: EngineConfig) -> UniversalityRun:
                         config, lam, j, n_j, projected, images
                     )
                     break
-                except InterferenceBudgetExceeded:
+                except InterferenceBudgetExceeded as exc:
                     escalations += 1
-                    if escalations > config.max_escalations:
+                    # an image already on the circle (eta) only moves
+                    # closer to it at a deeper index
+                    if escalations > config.max_escalations or "eta" in exc.values:
                         raise
                     search_floor = 4 * n_j
         except (
@@ -443,13 +452,13 @@ def run_universality(config: EngineConfig) -> UniversalityRun:
             float(np.max(np.abs(x.product._eval(image) - 1.0))) for x in factors
         )
         phi = seq.at(n_j)
-        pre = auto_inverse(phi).transform(grid)
+        pre = auto_inverse(phi).transform(axes)
         cond_b = float(np.max(np.abs(projected.product._eval(pre) - 1.0)))
         roundtrip = float(
             np.max(
                 np.abs(
                     projected.product._eval(phi.transform(pre))
-                    - projected.product._eval(grid)
+                    - projected.product._eval(axes)
                 )
             )
         )
@@ -476,7 +485,7 @@ def run_universality(config: EngineConfig) -> UniversalityRun:
     product = product_of(tuple(x.product for x in factors))
     run.product = product
 
-    target_grids = [t.eval_grid(grid) for t in config.targets]
+    target_grids = [t._eval(axes) for t in config.targets]
     x_on_images = [product._eval(img) for img in images]
     for ti, tgrid in enumerate(target_grids, start=1):
         errs = [float(np.max(np.abs(xv - tgrid))) for xv in x_on_images]
@@ -509,12 +518,12 @@ def verify_orbit(
     indices = [int(k) for k in indices]
     if not indices:
         raise ValidityError("no orbit indices to check")
-    grid = probe.grid()
-    target_grids = [t.eval_grid(grid) for t in targets]
+    axes = probe.axes()
+    target_grids = [t._eval(axes) for t in targets]
     best = [{"target": i + 1, "best_index": None, "value": math.inf}
             for i in range(len(targets))]
     for k in indices:
-        xv = x._eval(seq.at(k).transform(grid))
+        xv = x._eval(seq.at(k).transform(axes))
         for i, tgrid in enumerate(target_grids):
             err = float(np.max(np.abs(xv - tgrid)))
             if err < best[i]["value"]:

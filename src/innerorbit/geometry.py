@@ -2,8 +2,11 @@
 
 Sup norms over compact sub-polydisks are approximated by maxima over
 tensor-product grids: per coordinate the rings rho in {0, r/2, r} sampled
-at Q equispaced angles. The pseudo-metric is a weighted, truncated sum of
-such grid sups over the exhaustion radii r_m = m/(m+1).
+at Q equispaced angles. A grid is held one axis per coordinate
+(``PointAxes``), so Blaschke factors and automorphisms evaluate on
+n * (2Q+1) coordinate values rather than on all (2Q+1)**n points. The
+pseudo-metric is a weighted, truncated sum of such grid sups over the
+exhaustion radii r_m = m/(m+1).
 """
 
 from __future__ import annotations
@@ -81,17 +84,63 @@ class TorusPoint:
         return CPoint(self.coords)
 
 
+@dataclass(frozen=True, eq=False)
+class PointAxes:
+    """A point set held as one complex array per coordinate.
+
+    The arrays broadcast together, and point i is element i of the
+    broadcast in C order. A tensor grid lays coordinate j along array
+    dimension j; a point cloud lays every coordinate along its one
+    dimension. Tree nodes and automorphisms work on the arrays elementwise,
+    so each point goes through the same floating-point operations as in the
+    (m, n) form, and the max of a broadcast array is the max over the set.
+    """
+
+    coords: tuple
+
+    @classmethod
+    def of_array(cls, pts: np.ndarray) -> "PointAxes":
+        """The point-cloud form of an (m, n) array (views, no copies)."""
+        return cls(tuple(pts[:, j] for j in range(pts.shape[1])))
+
+    @property
+    def layout(self) -> tuple:
+        """Shape of the broadcast of the coordinate arrays."""
+        return np.broadcast_shapes(*(c.shape for c in self.coords))
+
+    @property
+    def shape(self) -> tuple:
+        """(points, dimension), as for the (m, n) form."""
+        return (math.prod(self.layout), len(self.coords))
+
+    def expand(self, values) -> np.ndarray:
+        """Values on this set, broadcast and raveled: shape (points,)."""
+        values = np.asarray(values)
+        # broadcast_to gives a read-only view, so a result already of full
+        # layout is raveled as it is and stays writable
+        if values.shape != self.layout:
+            values = np.broadcast_to(values, self.layout)
+        return values.ravel()
+
+    def to_array(self) -> np.ndarray:
+        """The (m, n) form."""
+        return np.stack([self.expand(c) for c in self.coords], axis=-1)
+
+
 @lru_cache(maxsize=256)
-def _grid_cached(radius: float, points_per_dim: int, dimension: int) -> np.ndarray:
+def _axes_cached(radius: float, points_per_dim: int, dimension: int) -> PointAxes:
     angles = 2.0 * np.pi * np.arange(points_per_dim) / points_per_dim
     circle = np.exp(1j * angles)
     axis = np.concatenate(
         [np.zeros(1, dtype=complex), 0.5 * radius * circle, radius * circle]
     )
-    mesh = np.meshgrid(*([axis] * dimension), indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=-1)
-    grid.setflags(write=False)
-    return grid
+    axis.setflags(write=False)
+    return PointAxes(
+        tuple(
+            axis.reshape((1,) * j + (-1,) + (1,) * (dimension - j - 1))
+            for j in range(dimension)
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -116,12 +165,17 @@ class CompactProbe:
             points_per_dim = default_points_per_dim(dimension)
         return cls(radius=radius, points_per_dim=points_per_dim, dimension=dimension)
 
-    def grid(self) -> np.ndarray:
-        """Sample points, shape (m, dimension), all interior."""
-        g = _grid_cached(float(self.radius), int(self.points_per_dim), self.dimension)
-        if np.max(np.abs(g)) >= 1.0:
+    def axes(self) -> PointAxes:
+        """The sampling grid one axis per coordinate; all points interior."""
+        a = _axes_cached(float(self.radius), int(self.points_per_dim), self.dimension)
+        if np.max(np.abs(a.coords[0])) >= 1.0:
             raise EvaluationOutsideDomain("probe grid leaves the open polydisk")
-        return g
+        return a
+
+    def grid(self) -> np.ndarray:
+        """Sample points, shape (m, dimension), all interior; the points of
+        ``axes()`` in the same order."""
+        return self.axes().to_array()
 
 
 def probe_sup(f, g, probe: CompactProbe) -> float:
@@ -135,8 +189,8 @@ def probe_sup(f, g, probe: CompactProbe) -> float:
             f"function dims ({f.dimension}, {g.dimension}) vs probe dim "
             f"{probe.dimension}"
         )
-    pts = probe.grid()
-    return float(np.max(np.abs(f.eval_grid(pts) - g.eval_grid(pts))))
+    axes = probe.axes()
+    return float(np.max(np.abs(f._eval(axes) - g._eval(axes))))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,12 @@ products, integer powers, and composition with polydisk automorphisms.
 Every tree evaluates into the closed unit disk by construction, and
 composition with an automorphism is exact (same floating computation as
 evaluating the automorphism first).
+
+Nodes evaluate on a ``PointAxes``: one array per coordinate, broadcasting
+together. A Blaschke factor touches only its own coordinate's array and a
+product multiplies its children left to right, so on a tensor grid each
+partial product keeps the smallest broadcast shape while every point still
+gets exactly the floating-point operations of pointwise evaluation.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .automorphisms import (
     mobius_compose,
 )
 from .errors import DimensionMismatch, EvaluationOutsideDomain, ValidityError
-from .geometry import CLOSURE_TOL, CPoint, TorusPoint
+from .geometry import CLOSURE_TOL, CPoint, PointAxes, TorusPoint
 
 #: sampling radius for one-variable Taylor coefficients
 TAYLOR_RADIUS = 0.75
@@ -33,7 +39,8 @@ class HoloFunction:
 
     dimension: int
 
-    def _eval(self, pts: np.ndarray) -> np.ndarray:
+    def _eval(self, pts: PointAxes) -> np.ndarray:
+        """Values on the point set, an array broadcastable to its layout."""
         raise NotImplementedError
 
     def eval_grid(self, pts: np.ndarray) -> np.ndarray:
@@ -45,7 +52,8 @@ class HoloFunction:
             )
         if pts.size and np.max(np.abs(pts)) > 1.0 + CLOSURE_TOL:
             raise EvaluationOutsideDomain("points leave the closed polydisk")
-        return self._eval(pts)
+        axes = PointAxes.of_array(pts)
+        return axes.expand(self._eval(axes))
 
     def eval(self, point) -> complex:
         """Evaluate at a single point (CPoint, TorusPoint, or sequence)."""
@@ -73,7 +81,7 @@ class Constant(HoloFunction):
         object.__setattr__(self, "value", value)
 
     def _eval(self, pts):
-        return np.full(pts.shape[0], self.value, dtype=complex)
+        return np.full((1,) * pts.coords[0].ndim, self.value, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -88,7 +96,7 @@ class Coordinate(HoloFunction):
             )
 
     def _eval(self, pts):
-        return pts[:, self.index - 1]
+        return pts.coords[self.index - 1]
 
 
 @dataclass(frozen=True)
@@ -106,7 +114,7 @@ class BlaschkeFactor(HoloFunction):
             )
 
     def _eval(self, pts):
-        return self.factor(pts[:, self.coord - 1])
+        return self.factor(pts.coords[self.coord - 1])
 
 
 @dataclass(frozen=True)

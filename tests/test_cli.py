@@ -1,7 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import innerorbit
 
 from innerorbit.cli import (
     load_config,
@@ -241,3 +247,39 @@ def test_load_config_rejects_verify_without_x(tmp_path):
     cfg_path = _write(tmp_path, "v.ini", text)
     with pytest.raises(ConfigError):
         load_config(cfg_path)
+
+
+def test_image_on_the_circle_exits_two_with_partial_report(tmp_path):
+    text = N1_CONFIG.replace(
+        "f2 = z[1]", "f2 = z[1]\nf3 = z[1]^2"
+    ).replace("k_max = 1000000000", "k_max = 100000000000000000")
+    cfg_path = _write(tmp_path, "three.ini", text)
+    out = tmp_path / "out"
+    assert run_cli(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == 2
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert len(results["recorded_indices"]) == 2
+    assert results["failure"]["stage"] == 3
+    assert results["failure"]["error"] == "InterferenceBudgetExceeded"
+
+
+@pytest.mark.parametrize("k_max, expected", [("1000000000", 0), ("100", 2)])
+def test_module_entry_point_runs(tmp_path, k_max, expected):
+    text = N1_CONFIG.replace("k_max = 1000000000", f"k_max = {k_max}")
+    cfg_path = _write(tmp_path, "n1.ini", text)
+    env = dict(os.environ)
+    src = str(Path(innerorbit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "innerorbit.cli", "--config", str(cfg_path),
+         "--out", str(tmp_path / "module"), "--quiet"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    code = run_cli(
+        ["--config", str(cfg_path), "--out", str(tmp_path / "direct"), "--quiet"]
+    )
+    assert code == expected
+    assert proc.returncode == code, proc.stderr
+    report = tmp_path / "module" / "report.json"
+    assert report.read_bytes() == (tmp_path / "direct" / "report.json").read_bytes()

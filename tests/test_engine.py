@@ -15,6 +15,7 @@ from innerorbit import (
     ExplicitSequence,
     Power,
     TorusPoint,
+    auto_inverse,
     choose_stage_index,
     probe_sup,
     project_to_family,
@@ -22,8 +23,9 @@ from innerorbit import (
     select_subsequence,
     verify_orbit,
 )
-from innerorbit.engine import stage_condition_values
+from innerorbit.engine import _corrector_index_for, stage_condition_values
 from innerorbit.errors import (
+    InterferenceBudgetExceeded,
     NoBoundaryConvergence,
     SequenceExhausted,
     UnsupportedTargetShape,
@@ -100,11 +102,12 @@ def test_project_rejects_entangled_target():
 def test_choose_stage_index_trivial_target():
     seq = constant_sequence()
     sel = select_subsequence(seq, 64, math.pi / 16)
-    grid = CompactProbe.create(0.3, 1).grid()
+    axes = CompactProbe.create(0.3, 1).axes()
     n1 = choose_stage_index(
-        sel, grid, [], Constant(1.0, 1), j=1, floor=0, delta=0.01, k_max=10**6
+        sel, axes, [], Constant(1.0, 1), j=1, floor=0, delta=0.01, k_max=10**6
     )
     assert n1 == 1
+    assert stage_condition_values(seq, axes, [], Constant(1.0, 1), 1) == (0.0, 0.0)
 
 
 def test_condition_b_contracts_with_index():
@@ -112,12 +115,17 @@ def test_condition_b_contracts_with_index():
     probe = CompactProbe.create(0.3, 1)
     pin = TorusPoint((1.0,))
     projected = project_to_family(Constant(0.5, 1), pin, 13, 0.0125, probe)
-    grid = probe.grid()
     values = [
-        stage_condition_values(seq, grid, [], projected.product, k)[1]
+        stage_condition_values(seq, probe.axes(), [], projected.product, k)[1]
         for k in (10, 100, 1000)
     ]
     assert values[0] > values[1] > values[2]
+    # the axis-wise values are the pointwise ones on the expanded grid, bit
+    # for bit
+    for k, value in zip((10, 100, 1000), values):
+        pre = auto_inverse(seq.at(k)).transform(probe.grid())
+        pointwise = np.max(np.abs(projected.product.eval_grid(pre) - 1.0))
+        assert value == float(pointwise)
 
 
 def test_sequence_exhausted_for_stalled_moduli():
@@ -129,11 +137,14 @@ def test_sequence_exhausted_for_stalled_moduli():
     probe = CompactProbe.create(0.3, 1)
     pin = TorusPoint((1.0,))
     projected = project_to_family(Constant(0.5, 1), pin, 13, 0.0125, probe)
-    with pytest.raises(SequenceExhausted):
+    with pytest.raises(SequenceExhausted) as excinfo:
         choose_stage_index(
-            sel, probe.grid(), [], projected.product, j=1, floor=0,
+            sel, probe.axes(), [], projected.product, j=1, floor=0,
             delta=0.01, k_max=64,
         )
+    best = excinfo.value.best
+    assert 1 <= best["index"] <= 64
+    assert best["condition_b"] > 0.01 * 2.0**-1
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +207,7 @@ def test_run_independent_random_point_check():
     pts = r * np.exp(1j * rng.uniform(-math.pi, math.pi, size=(10**4, 1)))
     for stage, target in zip(run.stages, cfg.targets):
         phi = seq.at(stage.chosen_index)
-        vals = run.product._eval(phi.transform(pts))
+        vals = run.product.eval_grid(phi.transform(pts))
         err = np.max(np.abs(vals - target.eval_grid(pts)))
         assert err <= 0.06 + 0.01
 
@@ -307,9 +318,9 @@ def test_last_factor_does_work():
     k_last = run.stages[-1].chosen_index
     image = seq.at(k_last).transform(grid)
     target = cfg.targets[-1].eval_grid(grid)
-    full = float(np.max(np.abs(run.product._eval(image) - target)))
+    full = float(np.max(np.abs(run.product.eval_grid(image) - target)))
     truncated = run.stages[0].factor.product
-    partial = float(np.max(np.abs(truncated._eval(image) - target)))
+    partial = float(np.max(np.abs(truncated.eval_grid(image) - target)))
     assert partial - full > cfg.delta
 
 
@@ -350,3 +361,52 @@ def test_verify_orbit_reproduces_run_table():
     for row, expected in zip(rows, run.verification):
         assert row["best_index"] == expected["best_index"]
         assert abs(row["value"] - expected["value"]) <= 1e-12
+
+
+def test_run_two_targets_n3():
+    seq = constant_sequence(3)
+    probe = CompactProbe.create(0.25, 3)
+    cfg = EngineConfig(
+        sequence=seq,
+        targets=(
+            Constant(complex(0.49, 0.01), 3),
+            Product((Coordinate(1, 3), Coordinate(2, 3), Coordinate(3, 3))),
+        ),
+        probe=probe,
+        k_max=10**9,
+    )
+    run = run_universality(cfg)
+    assert run.failure is None
+    assert len(run.stages) == 2
+    for row in run.verification:
+        assert row["value"] <= row["bound"]
+    rows = verify_orbit(
+        run.product, seq, cfg.targets, probe,
+        max(run.recorded_indices()), run.recorded_indices(),
+    )
+    for row, expected in zip(rows, run.verification):
+        assert row["best_index"] == expected["best_index"]
+        assert row["value"] == expected["value"]
+
+
+def test_corrector_index_refuses_image_on_the_circle():
+    for eta in (0.0, -2.0**-53):
+        with pytest.raises(InterferenceBudgetExceeded, match="stage 3.*eta"):
+            _corrector_index_for(3, 12, eta, 0.05 / 8)
+
+
+def test_image_on_the_circle_ends_as_partial_run():
+    # the third stage escalates until the probe image rounds onto the
+    # circle; a deeper index cannot help, so the run stops there
+    seq = constant_sequence()
+    cfg = EngineConfig(
+        sequence=seq,
+        targets=(Constant(0.5, 1), Coordinate(1, 1), Power(Coordinate(1, 1), 2)),
+        probe=CompactProbe.create(0.3, 1),
+        k_max=10**17,
+    )
+    run = run_universality(cfg)
+    assert len(run.stages) == 2
+    assert run.failure["stage"] == 3
+    assert run.failure["error"] == "InterferenceBudgetExceeded"
+    assert "eta = " in run.failure["message"]
