@@ -84,7 +84,16 @@ class MobiusFactor:
         den = 1.0 - np.conjugate(self.alpha) * z
         if np.min(np.abs(den)) < POLE_TOL:
             raise PoleHit(f"denominator vanished for factor alpha={self.alpha}")
-        return self.phase * (self.alpha - z) / den
+        num = self.alpha - z
+        # arrays name the operand order: from 16 384 points up numpy reuses
+        # the temporary and computes num * phase, and complex multiply is not
+        # bitwise commutative; scalars keep scalar arithmetic, whose bits a
+        # ufunc call does not reproduce
+        if isinstance(num, np.ndarray):
+            num = np.multiply(self.phase, num)
+        else:
+            num = self.phase * num
+        return num / den
 
     def inverse(self) -> "MobiusFactor":
         """The factor with alpha' = e^{i theta} alpha, theta' = -theta."""

@@ -92,8 +92,11 @@ class PointAxes:
     broadcast in C order. A tensor grid lays coordinate j along array
     dimension j; a point cloud lays every coordinate along its one
     dimension. Tree nodes and automorphisms work on the arrays elementwise,
-    so each point goes through the same floating-point operations as in the
-    (m, n) form, and the max of a broadcast array is the max over the set.
+    taking the operands of every product in a fixed order, so each point
+    goes through the same floating-point operations as in the (m, n) form,
+    whatever the layout and the array size, and the max of a broadcast
+    array is the max over the set. Probe grids and torus shells are tensor
+    grids (``tensor``).
     """
 
     coords: tuple
@@ -102,6 +105,17 @@ class PointAxes:
     def of_array(cls, pts: np.ndarray) -> "PointAxes":
         """The point-cloud form of an (m, n) array (views, no copies)."""
         return cls(tuple(pts[:, j] for j in range(pts.shape[1])))
+
+    @classmethod
+    def tensor(cls, axis: np.ndarray, dimension: int) -> "PointAxes":
+        """The tensor grid axis^dimension: coordinate j is ``axis`` laid
+        along array dimension j (views, no copies)."""
+        return cls(
+            tuple(
+                axis.reshape((1,) * j + (-1,) + (1,) * (dimension - j - 1))
+                for j in range(dimension)
+            )
+        )
 
     @property
     def layout(self) -> tuple:
@@ -135,12 +149,7 @@ def _axes_cached(radius: float, points_per_dim: int, dimension: int) -> PointAxe
         [np.zeros(1, dtype=complex), 0.5 * radius * circle, radius * circle]
     )
     axis.setflags(write=False)
-    return PointAxes(
-        tuple(
-            axis.reshape((1,) * j + (-1,) + (1,) * (dimension - j - 1))
-            for j in range(dimension)
-        )
-    )
+    return PointAxes.tensor(axis, dimension)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,11 @@ together. A Blaschke factor touches only its own coordinate's array and a
 product multiplies its children left to right, so on a tensor grid each
 partial product keeps the smallest broadcast shape while every point still
 gets exactly the floating-point operations of pointwise evaluation.
+Complex multiply is not bitwise commutative in numpy's vector loops, so
+every product names its operand order (``np.multiply``) rather than leave
+it to numpy, which swaps the operands of ``a * b`` when it can reuse a
+large temporary ``b``; a point's value therefore does not depend on the
+size or layout of the array it is evaluated in.
 """
 
 from __future__ import annotations
@@ -27,7 +32,12 @@ from .automorphisms import (
     auto_inverse,
     mobius_compose,
 )
-from .errors import DimensionMismatch, EvaluationOutsideDomain, ValidityError
+from .errors import (
+    DimensionMismatch,
+    EvaluationOutsideDomain,
+    UnsupportedTargetShape,
+    ValidityError,
+)
 from .geometry import CLOSURE_TOL, CPoint, PointAxes, TorusPoint
 
 #: sampling radius for one-variable Taylor coefficients
@@ -138,7 +148,9 @@ class Product(HoloFunction):
     def _eval(self, pts):
         out = self.children[0]._eval(pts)
         for c in self.children[1:]:
-            out = out * c._eval(pts)
+            # not out * ...: from 16 384 points up numpy reuses the temporary
+            # right operand and multiplies in the other order
+            out = np.multiply(out, c._eval(pts))
         return out
 
 
@@ -328,8 +340,6 @@ def factor_product_form(f: HoloFunction):
     Raises UnsupportedTargetShape when any multiplicative factor depends on
     more than one coordinate.
     """
-    from .errors import UnsupportedTargetShape
-
     constant = complex(1.0)
     buckets: dict = {}
 

@@ -2,7 +2,9 @@
 
 Diagnostics: radial modulus reports, torus means of log|g| with clamping
 (trapezoid rule on the torus, spectrally accurate away from zero shells),
-and a Jensen-formula oracle for finite Blaschke products.
+and a Jensen-formula oracle for finite Blaschke products. A torus shell
+r T^n is a tensor grid held one axis per coordinate (``PointAxes``), so a
+Blaschke factor costs q Moebius evaluations rather than q^n.
 
 Construction: the Schur-algorithm projector onto finite Blaschke products,
 the one-factor corrector pinned to 1 - 2^-j at the origin with a prescribed
@@ -27,10 +29,20 @@ from .errors import (
     SchurParameterOutOfDisk,
     ValidityError,
 )
-from .geometry import TorusPoint
-from .holo import BlaschkeFactor, Constant, HoloFunction, Product
+from .geometry import PointAxes, TorusPoint
+from .holo import (
+    BlaschkeFactor,
+    Composed,
+    Constant,
+    Coordinate,
+    HoloFunction,
+    Power,
+    Product,
+    flatten,
+    is_blaschke_type,
+)
 
-#: points per evaluation chunk when tensor grids get large
+#: most points in one evaluation block of a torus shell
 _CHUNK = 1 << 20
 
 #: refuse tensor grids beyond this many points (roughly 400 MB at n = 3)
@@ -40,16 +52,30 @@ _MAX_GRID = 1 << 23
 # ---------------------------------------------------------------------------
 # torus grids and modulus diagnostics
 
-def _torus_grid(dimension: int, q: int) -> np.ndarray:
+def _torus_axis(dimension: int, q: int) -> np.ndarray:
+    """The axis of the q^n torus grid: q equispaced points of the unit circle."""
     if q**dimension > _MAX_GRID:
         raise ValidityError(
             f"tensor grid of {q}^{dimension} points is beyond desk scale; "
             "lower the per-dimension resolution"
         )
     angles = 2.0 * np.pi * np.arange(q) / q
-    circle = np.exp(1j * angles)
-    mesh = np.meshgrid(*([circle] * dimension), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return np.exp(1j * angles)
+
+
+def _shell_blocks(axis: np.ndarray, dimension: int):
+    """The torus shell axis^dimension as PointAxes blocks of whole rows
+    along array dimension 0, each of at most _CHUNK points (or one row).
+
+    The blocks follow one another in C order, so raveling each block's
+    values in C order and chaining them gives the shell's points in the
+    order of ``meshgrid(..., indexing="ij")``.
+    """
+    shell = PointAxes.tensor(axis, dimension)
+    step = max(1, _CHUNK // max(1, axis.size ** (dimension - 1)))
+    first, rest = shell.coords[0], shell.coords[1:]
+    for lo in range(0, axis.size, step):
+        yield PointAxes((first[lo : lo + step],) + rest)
 
 
 @dataclass(frozen=True)
@@ -70,12 +96,13 @@ def radial_modulus_report(
         raise ValidityError("radii must lie in (0, 1)")
     if any(b >= a for a, b in zip(radii[1:], radii)):
         raise ValidityError("radii must be strictly increasing")
-    zeta = _torus_grid(f.dimension, angles_per_dim)
+    circle = _torus_axis(f.dimension, angles_per_dim)
     deviations = []
     for r in radii:
         worst = 0.0
-        for lo in range(0, zeta.shape[0], _CHUNK):
-            vals = f.eval_grid(r * zeta[lo : lo + _CHUNK])
+        for block in _shell_blocks(r * circle, f.dimension):
+            # the max of the broadcast values is the max over the block
+            vals = f._eval(block)
             worst = max(worst, float(np.max(np.abs(1.0 - np.abs(vals)))))
         deviations.append(worst)
     return RadialReport(
@@ -99,16 +126,18 @@ def good_inner_integral_detail(
         raise ValidityError("need at least 16 quadrature points per dimension")
     if clamp <= 0.0:
         raise ValidityError("clamp level must be positive")
-    zeta = _torus_grid(g.dimension, quad_points)
+    circle = _torus_axis(g.dimension, quad_points)
     floor = math.exp(-clamp)
     total = 0.0
     clamped = 0
-    for lo in range(0, zeta.shape[0], _CHUNK):
-        mods = np.abs(g.eval_grid(r * zeta[lo : lo + _CHUNK]))
+    for block in _shell_blocks(r * circle, g.dimension):
+        # expanded to one value per point: the sum runs over the block's
+        # points in C order
+        mods = block.expand(np.abs(g._eval(block)))
         small = mods <= floor
         clamped += int(np.count_nonzero(small))
         total += float(np.sum(np.log(np.maximum(mods, floor))))
-    return total / zeta.shape[0], clamped
+    return total / quad_points**g.dimension, clamped
 
 
 def good_inner_integral(
@@ -433,33 +462,23 @@ def _pin_noise_bound(tree: HoloFunction, pin: TorusPoint) -> float:
     zero hugs the boundary near the pin. Mathematically |tree(pin)| = 1;
     this bound says how far the float evaluation may honestly stray.
     """
-    from .holo import (
-        BlaschkeFactor as _BF,
-        Composed as _Co,
-        Constant as _C,
-        Coordinate as _X,
-        Power as _P,
-        Product as _Pr,
-        flatten as _flatten,
-    )
-
     eps = 2.3e-16
-    if isinstance(tree, _Co):
-        tree = _flatten(tree)
+    if isinstance(tree, Composed):
+        tree = flatten(tree)
 
     def walk(node) -> float:
-        if isinstance(node, (_C, _X)):
+        if isinstance(node, (Constant, Coordinate)):
             return eps
-        if isinstance(node, _BF):
+        if isinstance(node, BlaschkeFactor):
             z = pin.coords[node.coord - 1]
             den = abs(1.0 - node.factor.alpha.conjugate() * z)
             return 4.0 * eps / max(den, eps)
-        if isinstance(node, _Pr):
+        if isinstance(node, Product):
             return sum(walk(c) for c in node.children)
-        if isinstance(node, _P):
+        if isinstance(node, Power):
             return node.exponent * walk(node.child)
-        if isinstance(node, _Co):
-            return walk(_flatten(node))
+        if isinstance(node, Composed):
+            return walk(flatten(node))
         return eps
 
     return walk(tree)
@@ -476,13 +495,11 @@ def make_generating_element(
     ulp of modulus error, amplified by near-boundary factors and by the
     corrector steepness 2^j.
     """
-    from .holo import is_blaschke_type as _is_inner
-
     if approximant.dimension != pin.dimension:
         raise ValidityError("approximant and pin dimensions differ")
     value = approximant.eval(pin)
     tol = 1e-9
-    if _is_inner(approximant):
+    if is_blaschke_type(approximant):
         # |A(pin)| = 1 holds structurally; allow honest evaluation noise
         tol = max(tol, 16.0 * _pin_noise_bound(approximant, pin))
     if abs(abs(value) - 1.0) > tol:

@@ -1,10 +1,12 @@
-"""Axis-wise evaluation on probe grids against pointwise evaluation.
+"""Axis-wise evaluation on probe grids and torus shells against pointwise
+evaluation.
 
 Trees and automorphisms evaluate on a ``PointAxes`` (one array per
 coordinate, broadcasting together). The claim is that this changes no bit:
 every point goes through the floating-point operations of pointwise
-evaluation. The reference below is that pointwise evaluation on the
-expanded (m, n) grid, column by column, so every comparison is exact.
+evaluation, at any array size. The reference below is that pointwise
+evaluation on the expanded (m, n) grid, column by column, so every
+comparison is exact.
 """
 
 import math
@@ -21,9 +23,12 @@ from innerorbit import (
     PolydiskAutomorphism,
     Power,
     Product,
+    good_inner_integral_detail,
+    radial_modulus_report,
 )
+from innerorbit import inner_tools
 
-from util import random_mobius
+from util import random_interior_points, random_mobius
 
 
 def reference_transform(phi, pts):
@@ -43,7 +48,7 @@ def reference_eval(f, pts):
     if isinstance(f, Product):
         out = reference_eval(f.children[0], pts)
         for c in f.children[1:]:
-            out = out * reference_eval(c, pts)
+            out = np.multiply(out, reference_eval(c, pts))
         return out
     if isinstance(f, Power):
         return reference_eval(f.child, pts) ** f.exponent
@@ -137,3 +142,95 @@ def test_eval_grid_returns_one_value_per_point():
         values = f.eval_grid(pts)
         assert values.shape == (3,)
         assert np.array_equal(values, reference_eval(f, pts))
+
+
+def chunked_eval(f, pts, size=1000):
+    """eval_grid on consecutive slices of ``size`` points."""
+    parts = [f.eval_grid(pts[lo : lo + size]) for lo in range(0, len(pts), size)]
+    return np.concatenate(parts)
+
+
+def test_values_do_not_depend_on_array_size():
+    # from 16 384 points up numpy may reuse a temporary operand and swap the
+    # operands of a complex product, which changes the last bit
+    rng = np.random.default_rng(3000)
+    pts = random_interior_points(rng, 20_000, 2, radius=0.9)
+    nested = Product((
+        BlaschkeFactor(random_mobius(rng), 1, 2),
+        BlaschkeFactor(random_mobius(rng), 2, 2),
+        Product((BlaschkeFactor(random_mobius(rng), 1, 2), Coordinate(2, 2))),
+        Power(Product((BlaschkeFactor(random_mobius(rng), 2, 2),) * 2), 2),
+    ))
+    trees = [nested] + [random_tree(rng, 2) for _ in range(20)]
+    for f in trees:
+        assert np.array_equal(f.eval_grid(pts), chunked_eval(f, pts))
+
+
+def unit_circle_grid(q, n):
+    """The q^n torus grid as an (m, n) array, in meshgrid "ij" order."""
+    circle = np.exp(1j * (2.0 * np.pi * np.arange(q) / q))
+    mesh = np.meshgrid(*([circle] * n), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+#: shells of more than 16 384 points at n = 1, 2 and 3
+SHELLS = [(1, 16_400), (2, 160), (3, 26)]
+RADII = (0.6, 0.95)
+CLAMP = 2.0
+
+
+def shell_reference(f, q, r):
+    """(deviation, clamp count, torus mean) from pointwise evaluation of
+    the expanded shell in small chunks."""
+    vals = chunked_eval(f, r * unit_circle_grid(q, f.dimension))
+    mods = np.abs(vals)
+    floor = math.exp(-CLAMP)
+    deviation = float(np.max(np.abs(1.0 - mods)))
+    clamped = int(np.count_nonzero(mods <= floor))
+    mean = float(np.sum(np.log(np.maximum(mods, floor)))) / len(vals)
+    return deviation, clamped, mean
+
+
+@pytest.mark.parametrize("n,q", SHELLS, ids=lambda v: str(v))
+def test_torus_shells_equal_pointwise(n, q):
+    rng = np.random.default_rng(4000 + n)
+    trees = [random_tree(rng, n) for _ in range(6)]
+    trees.append(Composed(shuffled_automorphism(rng, n), trees[0]))
+    for f in trees:
+        expected = [shell_reference(f, q, r) for r in RADII]
+        report = radial_modulus_report(f, RADII, q)
+        assert np.array_equal(report.deviations, [e[0] for e in expected])
+        for r, (_, clamped, mean) in zip(RADII, expected):
+            got = good_inner_integral_detail(f, r, q, CLAMP)
+            assert got == (mean, clamped)
+
+
+# the block sums add up in a Python float, so the mean moves by a few ulp
+# per block: 27 blocks at chunk 1000, 160 at chunk 100
+@pytest.mark.parametrize("chunk,tol", [(1000, 1e-15), (100, 1e-14)])
+def test_torus_shell_row_blocks_count_every_point_once(monkeypatch, chunk, tol):
+    n, q = 2, 160
+    rng = np.random.default_rng(5000)
+    trees = [random_tree(rng, n) for _ in range(6)]
+    whole = [
+        (radial_modulus_report(f, RADII, q).deviations,
+         [good_inner_integral_detail(f, r, q, CLAMP) for r in RADII])
+        for f in trees
+    ]
+    monkeypatch.setattr(inner_tools, "_CHUNK", chunk)
+    # 1000 is not a multiple of a row (160 points), so blocks hold 6 rows;
+    # a chunk below one row gives blocks of one row
+    rows = max(1, chunk // q)
+    circle = np.exp(1j * (2.0 * np.pi * np.arange(q) / q))
+    blocks = list(inner_tools._shell_blocks(circle, n))
+    assert [b.shape[0] for b in blocks] == [
+        min(rows, q - lo) * q for lo in range(0, q, rows)
+    ]
+    cloud = np.concatenate([b.to_array() for b in blocks])
+    assert np.array_equal(cloud, unit_circle_grid(q, n))
+    for f, (deviations, details) in zip(trees, whole):
+        assert np.array_equal(radial_modulus_report(f, RADII, q).deviations, deviations)
+        for r, (mean, clamped) in zip(RADII, details):
+            got_mean, got_clamped = good_inner_integral_detail(f, r, q, CLAMP)
+            assert got_clamped == clamped
+            assert abs(got_mean - mean) <= tol
