@@ -20,8 +20,6 @@ from .automorphisms import (
     auto_eval,
     auto_inverse,
     mobius_compose,
-    mobius_eval,
-    mobius_inverse,
     normalize_angle,
     select_subsequence,
 )
@@ -55,26 +53,21 @@ from .errors import (
     ValidityError,
 )
 from .geometry import (
-    COMetric,
     CompactProbe,
     CPoint,
     PointAxes,
     TorusPoint,
     default_points_per_dim,
-    metric_distance,
     probe_sup,
 )
 from .holo import (
     BlaschkeFactor,
     Composed,
-    CompositionOperator,
     Constant,
     Coordinate,
     HoloFunction,
     Power,
     Product,
-    apply_operator,
-    evaluate,
     flatten,
     is_blaschke_type,
     product_of,
@@ -85,7 +78,6 @@ from .inner_tools import (
     GeneratingElement,
     GoodInnerReport,
     RadialReport,
-    good_inner_integral,
     good_inner_integral_detail,
     good_inner_trend,
     jensen_oracle,

@@ -100,14 +100,6 @@ class MobiusFactor:
         return MobiusFactor(alpha=self.phase * self.alpha, theta=-self.theta)
 
 
-def mobius_eval(factor: MobiusFactor, z: complex) -> complex:
-    return complex(factor(complex(z)))
-
-
-def mobius_inverse(factor: MobiusFactor) -> MobiusFactor:
-    return factor.inverse()
-
-
 def mobius_compose(outer: MobiusFactor, inner: MobiusFactor) -> MobiusFactor:
     """Normal form of z -> outer(inner(z)).
 
@@ -331,10 +323,6 @@ class SubsequenceSelection:
     sequence: object = field(repr=False)
     _cell: tuple = field(repr=False, default=())
 
-    @property
-    def first_index(self) -> int:
-        return self.indices[0]
-
     def contains(self, k: int) -> bool:
         length = self.sequence.length
         if k < 1 or (length is not None and k > length):
@@ -379,6 +367,8 @@ def select_subsequence(
     at the last selected index; lambda combines them with the angle
     centroid, gamma applies the same recipe to the inverse normal form.
     """
+    if not angle_tol > 0.0:
+        raise ValidityError(f"angle_tol must be positive, got {angle_tol!r}")
     length = seq.length
     if length is not None:
         horizon = min(horizon, length)

@@ -22,12 +22,15 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .automorphisms import ExplicitSequence, GeneratedSequence
 from .dsl import (
+    _Parser,  # autospec shares the DSL tokenizer
     format_complex,
     format_real,
     parse_function_dsl,
@@ -160,21 +163,9 @@ class Report:
         return render_document(self.document(include_timings)) + "\n"
 
 
-_ENGINE_DEFAULTS = {
-    "epsilon": 0.05,
-    "delta": 0.01,
-    "j_min": 12,
-    "k_max": 100_000,
-    "schur_depth": 16,
-    "selection_horizon": 64,
-    "angle_tol": math.pi / 16.0,
-    "boundary_tol": 0.05,
-    "max_escalations": 5,
-}
-
-_ENGINE_INT_KEYS = {
-    "j_min", "k_max", "schur_depth", "selection_horizon", "max_escalations",
-}
+#: the [engine] keys, in report order: the EngineConfig fields with a
+#: default, each parsed with the type of its default
+_ENGINE_FIELDS = tuple(f for f in fields(EngineConfig) if f.default is not MISSING)
 
 
 def _floats(text: str) -> tuple:
@@ -292,14 +283,9 @@ def _load_config_body(cp, get, mode, seed_override) -> RunConfig:
 
     # ---- engine ----
     engine = {}
-    for key, default in _ENGINE_DEFAULTS.items():
-        raw = get("engine", key)
-        if raw is None:
-            engine[key] = default
-        elif key in _ENGINE_INT_KEYS:
-            engine[key] = int(raw)
-        else:
-            engine[key] = float(raw)
+    for f in _ENGINE_FIELDS:
+        raw = get("engine", f.name)
+        engine[f.name] = f.default if raw is None else type(f.default)(raw)
 
     diagnostics = {
         "radii": list(_floats(get("diagnostics", "radii", "0.9,0.99,0.999"))),
@@ -383,10 +369,10 @@ def serialize_config(cfg: RunConfig) -> str:
     lines.append(f"points_per_dim = {cfg.probe['points_per_dim']}")
     lines.append("")
     lines.append("[engine]")
-    for key in _ENGINE_DEFAULTS:
-        value = cfg.engine[key]
-        text = str(value) if key in _ENGINE_INT_KEYS else format_real(value)
-        lines.append(f"{key} = {text}")
+    for f in _ENGINE_FIELDS:
+        value = cfg.engine[f.name]
+        text = format_real(value) if isinstance(f.default, float) else str(value)
+        lines.append(f"{f.name} = {text}")
     lines.append("")
     lines.append("[diagnostics]")
     lines.append(
@@ -438,8 +424,6 @@ def build_sequence(cfg: RunConfig):
         return GeneratedSequence(direction, spec["rate"], theta_cycle, perm_cycle)
     autos = []
     for text in spec["autos"]:
-        from .dsl import _Parser  # autospec shares the DSL tokenizer
-
         parser = _Parser(text, cfg.dimension)
         autos.append(parser.parse_autospec())
         if parser.peek().kind != "eof":
@@ -535,21 +519,9 @@ def _mode_construct(cfg: RunConfig, out_dir: Path):
     seq = build_sequence(cfg)
     targets = build_targets(cfg)
     probe = build_probe(cfg)
-    engine_cfg = EngineConfig(
-        sequence=seq,
-        targets=targets,
-        probe=probe,
-        epsilon=cfg.engine["epsilon"],
-        delta=cfg.engine["delta"],
-        j_min=cfg.engine["j_min"],
-        k_max=cfg.engine["k_max"],
-        schur_depth=cfg.engine["schur_depth"],
-        selection_horizon=cfg.engine["selection_horizon"],
-        angle_tol=cfg.engine["angle_tol"],
-        boundary_tol=cfg.engine["boundary_tol"],
-        max_escalations=cfg.engine["max_escalations"],
+    run = run_universality(
+        EngineConfig(sequence=seq, targets=targets, probe=probe, **cfg.engine)
     )
-    run = run_universality(engine_cfg)
 
     stage_rows = []
     stage_payload = []
@@ -623,8 +595,6 @@ def _mode_construct(cfg: RunConfig, out_dir: Path):
 def _sample_points(seed: int, count: int, radius: float, dimension: int):
     """Seeded interior sample within the probe radius; the seed affects
     verification sampling only, never any construction."""
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     r = radius * np.sqrt(rng.uniform(0.0, 1.0, size=(count, dimension)))
     ang = rng.uniform(-math.pi, math.pi, size=(count, dimension))
@@ -632,8 +602,6 @@ def _sample_points(seed: int, count: int, radius: float, dimension: int):
 
 
 def _mode_verify(cfg: RunConfig, out_dir: Path):
-    import numpy as np
-
     seq = build_sequence(cfg)
     targets = build_targets(cfg)
     probe = build_probe(cfg)

@@ -193,19 +193,14 @@ def project_to_family(
     tol: float,
     probe: CompactProbe,
     depth: int = 16,
-) -> GeneratingElement:
-    """Project a ball function onto the pinned generating family.
+) -> tuple[GeneratingElement, float]:
+    """Project a ball function onto the pinned generating family; returns
+    (element, probe sup of element - f).
 
     The approximant reproduces f within tol on the probe; the corrector adds
     at most (1+r)/(1-r) * 2^-j on a radius-r probe, so the element stays
     within tol + 8 * 2^-j of f there.
     """
-    element, achieved = _project_with_error(f, pin, j, tol, probe, depth)
-    del achieved
-    return element
-
-
-def _project_with_error(f, pin, j, tol, probe, depth):
     approximant = _approximant_for(f, depth)
     achieved = probe_sup(approximant, f, probe)
     if achieved > tol:
@@ -220,16 +215,14 @@ def _project_with_error(f, pin, j, tol, probe, depth):
 def stage_condition_values(
     seq, axes: PointAxes, factors, projected: HoloFunction, k: int
 ):
-    """(max over earlier factors of sup |x_i o phi_k - 1|,
+    """((sup |x_i o phi_k - 1| for each earlier factor x_i),
         sup |f~ o phi_k^{-1} - 1|) on the probe grid ``axes``."""
     phi = seq.at(k)
     image = phi.transform(axes)
-    cond_a = 0.0
-    for x in factors:
-        cond_a = max(cond_a, float(np.max(np.abs(x._eval(image) - 1.0))))
+    conds_a = tuple(float(np.max(np.abs(x._eval(image) - 1.0))) for x in factors)
     pre = auto_inverse(phi).transform(axes)
     cond_b = float(np.max(np.abs(projected._eval(pre) - 1.0)))
-    return cond_a, cond_b
+    return conds_a, cond_b
 
 
 def choose_stage_index(
@@ -243,7 +236,8 @@ def choose_stage_index(
     k_max: int,
 ):
     """Smallest admissible subsequence index above ``floor``, with both
-    conditions measured on the probe grid ``axes``.
+    conditions measured on the probe grid ``axes``; returns (index, the
+    per-factor condition a values, condition b) at that index.
 
     Both conditions contract as the parameters approach the boundary, so the
     search doubles a step until an admissible index appears, then bisects
@@ -252,9 +246,12 @@ def choose_stage_index(
     seq = selection.sequence
     tol = delta * math.ldexp(1.0, -j)
     best = {"index": None, "condition_a": math.inf, "condition_b": math.inf}
+    probed = {}
 
     def admissible(k: int) -> bool:
-        a, b = stage_condition_values(seq, axes, factors, projected, k)
+        conds, b = stage_condition_values(seq, axes, factors, projected, k)
+        probed[k] = (k, conds, b)
+        a = max((0.0, *conds))
         if max(a, b) < max(best["condition_a"], best["condition_b"]):
             best.update({"index": k, "condition_a": a, "condition_b": b})
         return a <= tol and b <= tol
@@ -263,7 +260,7 @@ def choose_stage_index(
     if start is None or start > k_max:
         raise SequenceExhausted("no subsequence member above the floor", best)
     if admissible(start):
-        return start
+        return probed[start]
 
     def last_member_at_or_below(top: int):
         # schedules cycle with short periods, so a short backward scan
@@ -297,10 +294,10 @@ def choose_stage_index(
     while True:
         mid = lo + (hi - lo) // 2
         if mid <= lo:
-            return hi
+            return probed[hi]
         member = selection.next_member(mid)
         if member is None or member >= hi:
-            return hi
+            return probed[hi]
         if admissible(member):
             hi = member
         else:
@@ -412,14 +409,14 @@ def run_universality(config: EngineConfig) -> UniversalityRun:
     for j, target in enumerate(config.targets, start=1):
         eps_j = config.stage_tolerance(j)
         try:
-            projected, proj_err = _project_with_error(
+            projected, proj_err = project_to_family(
                 target, gamma, j + config.j_min, eps_j / 2.0, config.probe,
                 config.schur_depth,
             )
             escalations = 0
             search_floor = floor
             while True:
-                n_j = choose_stage_index(
+                n_j, conds_a, cond_b = choose_stage_index(
                     selection, axes, [x.product for x in factors],
                     projected.product, j, search_floor, config.delta, config.k_max,
                 )
@@ -448,12 +445,8 @@ def run_universality(config: EngineConfig) -> UniversalityRun:
             }
             return run
 
-        conds_a = tuple(
-            float(np.max(np.abs(x.product._eval(image) - 1.0))) for x in factors
-        )
         phi = seq.at(n_j)
         pre = auto_inverse(phi).transform(axes)
-        cond_b = float(np.max(np.abs(projected.product._eval(pre) - 1.0)))
         roundtrip = float(
             np.max(
                 np.abs(
@@ -482,23 +475,16 @@ def run_universality(config: EngineConfig) -> UniversalityRun:
         images.append(image)
         floor = n_j
 
-    product = product_of(tuple(x.product for x in factors))
-    run.product = product
-
-    target_grids = [t._eval(axes) for t in config.targets]
-    x_on_images = [product._eval(img) for img in images]
-    for ti, tgrid in enumerate(target_grids, start=1):
-        errs = [float(np.max(np.abs(xv - tgrid))) for xv in x_on_images]
-        best = int(np.argmin(errs))
-        eps_t = config.stage_tolerance(ti)
-        run.verification.append(
-            {
-                "target": ti,
-                "best_index": stages[best].chosen_index,
-                "value": errs[best],
-                "bound": eps_t + config.delta + stages[ti - 1].projection_error,
-            }
+    run.product = product_of(tuple(x.product for x in factors))
+    for row in verify_orbit(
+        run.product, seq, config.targets, config.probe, 0, run.recorded_indices()
+    ):
+        bound = (
+            config.stage_tolerance(row["target"])
+            + config.delta
+            + stages[row["target"] - 1].projection_error
         )
+        run.verification.append({**row, "bound": bound})
     return run
 
 

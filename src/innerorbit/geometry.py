@@ -1,12 +1,10 @@
-"""Points, sampling grids, and the compact-open pseudo-metric.
+"""Points and sampling grids.
 
 Sup norms over compact sub-polydisks are approximated by maxima over
 tensor-product grids: per coordinate the rings rho in {0, r/2, r} sampled
 at Q equispaced angles. A grid is held one axis per coordinate
 (``PointAxes``), so Blaschke factors and automorphisms evaluate on
-n * (2Q+1) coordinate values rather than on all (2Q+1)**n points. The
-pseudo-metric is a weighted, truncated sum of such grid sups over the
-exhaustion radii r_m = m/(m+1).
+n * (2Q+1) coordinate values rather than on all (2Q+1)**n points.
 """
 
 from __future__ import annotations
@@ -79,9 +77,6 @@ class TorusPoint:
     @property
     def dimension(self) -> int:
         return len(self.coords)
-
-    def as_cpoint(self) -> CPoint:
-        return CPoint(self.coords)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,38 +195,3 @@ def probe_sup(f, g, probe: CompactProbe) -> float:
         )
     axes = probe.axes()
     return float(np.max(np.abs(f._eval(axes) - g._eval(axes))))
-
-
-@dataclass(frozen=True)
-class COMetric:
-    """Truncated compact-open pseudo-metric.
-
-    d(f, g) = sum_{m=1..M} 2^-m * min(1, sup over probe_m of |f-g|),
-    with probe radii r_m = m/(m+1). Values lie in [0, 1 - 2^-M]; the
-    truncation error of the untruncated metric is at most 2^-M.
-    """
-
-    levels: int
-    probes: tuple
-
-    @classmethod
-    def create(cls, levels: int, dimension: int, points_per_dim: int | None = None):
-        if levels < 1:
-            raise ValidityError("metric needs at least one level")
-        probes = tuple(
-            CompactProbe.create(m / (m + 1.0), dimension, points_per_dim)
-            for m in range(1, levels + 1)
-        )
-        return cls(levels=levels, probes=probes)
-
-    @property
-    def dimension(self) -> int:
-        return self.probes[0].dimension
-
-
-def metric_distance(f, g, metric: COMetric) -> float:
-    """Weighted truncated sum of probe sups; symmetric, zero on the diagonal."""
-    total = 0.0
-    for m, probe in enumerate(metric.probes, start=1):
-        total += math.ldexp(min(1.0, probe_sup(f, g, probe)), -m)
-    return total

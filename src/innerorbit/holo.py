@@ -29,7 +29,6 @@ from .automorphisms import (
     MobiusFactor,
     PolydiskAutomorphism,
     auto_compose,
-    auto_inverse,
     mobius_compose,
 )
 from .errors import (
@@ -71,10 +70,6 @@ class HoloFunction:
             point.coords if isinstance(point, (CPoint, TorusPoint)) else tuple(point)
         )
         return complex(self.eval_grid(np.array([coords], dtype=complex))[0])
-
-
-def evaluate(f: HoloFunction, point) -> complex:
-    return f.eval(point)
 
 
 @dataclass(frozen=True)
@@ -181,7 +176,8 @@ class Power(HoloFunction):
 
 @dataclass(frozen=True)
 class Composed(HoloFunction):
-    """outer composed with an automorphism: z -> outer(auto(z))."""
+    """outer composed with an automorphism: z -> outer(auto(z)), the
+    composition operator C_auto applied to outer."""
 
     auto: PolydiskAutomorphism
     outer: HoloFunction
@@ -196,26 +192,6 @@ class Composed(HoloFunction):
 
     def _eval(self, pts):
         return self.outer._eval(self.auto.transform(pts))
-
-
-@dataclass(frozen=True)
-class CompositionOperator:
-    """T = C_phi (f -> f o phi), or its exact right inverse when inverse=True."""
-
-    phi: PolydiskAutomorphism
-    inverse: bool = False
-
-    @property
-    def symbol(self) -> PolydiskAutomorphism:
-        return auto_inverse(self.phi) if self.inverse else self.phi
-
-
-def apply_operator(op: CompositionOperator, f: HoloFunction) -> HoloFunction:
-    """Return f o phi as a lazy node; evaluation matches evaluating phi first
-    bit for bit."""
-    if op.phi.dimension != f.dimension:
-        raise DimensionMismatch("operator and function dimensions differ")
-    return Composed(auto=op.symbol, outer=f)
 
 
 def taylor_coeffs(f: HoloFunction, count: int) -> np.ndarray:

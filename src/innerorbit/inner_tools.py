@@ -54,6 +54,8 @@ _MAX_GRID = 1 << 23
 
 def _torus_axis(dimension: int, q: int) -> np.ndarray:
     """The axis of the q^n torus grid: q equispaced points of the unit circle."""
+    if q < 1:
+        raise ValidityError(f"a torus grid needs at least one angle, got {q}")
     if q**dimension > _MAX_GRID:
         raise ValidityError(
             f"tensor grid of {q}^{dimension} points is beyond desk scale; "
@@ -138,13 +140,6 @@ def good_inner_integral_detail(
         clamped += int(np.count_nonzero(small))
         total += float(np.sum(np.log(np.maximum(mods, floor))))
     return total / quad_points**g.dimension, clamped
-
-
-def good_inner_integral(
-    g: HoloFunction, r: float, quad_points: int = 512, clamp: float = 40.0
-) -> float:
-    value, _ = good_inner_integral_detail(g, r, quad_points, clamp)
-    return value
 
 
 def jensen_oracle(zeros, value_at_0_modulus: float, r: float) -> float:

@@ -14,8 +14,6 @@ from innerorbit import (
     auto_eval,
     auto_inverse,
     mobius_compose,
-    mobius_eval,
-    mobius_inverse,
     normalize_angle,
     select_subsequence,
 )
@@ -34,9 +32,9 @@ from util import random_automorphism, random_boundary_points, random_interior_po
 
 def test_mobius_eval_at_origin_and_zero():
     f = MobiusFactor(0.5, 0.0)
-    assert mobius_eval(f, 0.0) == pytest.approx(0.5, abs=1e-15)
-    assert mobius_eval(f, 0.5) == pytest.approx(0.0, abs=1e-15)
-    assert mobius_eval(f, 1.0) == pytest.approx(-1.0, abs=1e-15)
+    assert complex(f(complex(0.0))) == pytest.approx(0.5, abs=1e-15)
+    assert complex(f(complex(0.5))) == pytest.approx(0.0, abs=1e-15)
+    assert complex(f(complex(1.0))) == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_mobius_rejects_unit_alpha():
@@ -51,7 +49,7 @@ def test_mobius_pole_hit_outside_disk():
 
 
 def test_mobius_inverse_rotation_case():
-    inv = mobius_inverse(MobiusFactor(0.0, 0.0))
+    inv = MobiusFactor(0.0, 0.0).inverse()
     assert inv.alpha == 0.0
     assert inv.theta == 0.0
 
@@ -59,7 +57,7 @@ def test_mobius_inverse_rotation_case():
 def test_mobius_inverse_quarter_turn():
     # algebraic solve of w = sigma(z) for z gives alpha' = e^{i theta} alpha,
     # theta' = -theta; checked on a grid below
-    inv = mobius_inverse(MobiusFactor(0.5, math.pi / 2))
+    inv = MobiusFactor(0.5, math.pi / 2).inverse()
     assert inv.alpha == pytest.approx(0.5j, abs=1e-15)
     assert inv.theta == pytest.approx(-math.pi / 2, abs=1e-15)
 
@@ -68,7 +66,7 @@ def test_mobius_inverse_quarter_turn():
                                          (0.3 - 0.2j, 1.7)])
 def test_mobius_inverse_round_trip_on_grid(alpha, theta):
     f = MobiusFactor(alpha, theta)
-    g = mobius_inverse(f)
+    g = f.inverse()
     pts = 0.9 * np.exp(2j * np.pi * np.arange(100) / 100) * np.linspace(
         0.1, 1.0, 100
     )
@@ -77,7 +75,7 @@ def test_mobius_inverse_round_trip_on_grid(alpha, theta):
 
 def test_mobius_involution():
     f = MobiusFactor(0.5, 0.0)
-    inv = mobius_inverse(f)
+    inv = f.inverse()
     assert inv.alpha == pytest.approx(0.5, abs=1e-15)
     assert inv.theta == 0.0
 
@@ -266,6 +264,12 @@ def test_select_no_boundary_convergence():
     ]
     with pytest.raises(NoBoundaryConvergence):
         select_subsequence(ExplicitSequence(autos), 40, math.pi / 16)
+
+
+@pytest.mark.parametrize("angle_tol", [0.0, -0.1, math.nan])
+def test_select_rejects_non_positive_angle_tol(angle_tol):
+    with pytest.raises(ValidityError, match="angle_tol"):
+        select_subsequence(_constant_sequence(), 64, angle_tol)
 
 
 def test_select_empty_when_nothing_repeats():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import pytest
 
 import innerorbit
 
+from innerorbit import EngineConfig
 from innerorbit.cli import (
     load_config,
     render_document,
@@ -86,6 +88,48 @@ def test_config_round_trip_is_lossless(tmp_path):
     cfg2 = load_config(_write(tmp_path, "n1_canonical.ini", text))
     assert cfg2 == cfg
     assert serialize_config(cfg2) == text
+
+
+def test_engine_defaults_are_engine_config_fields(tmp_path):
+    cfg = load_config(_write(tmp_path, "gi.ini", GOOD_INNER_CONFIG))
+    tunable = [f for f in dataclasses.fields(EngineConfig)
+               if f.default is not dataclasses.MISSING]
+    assert [f.name for f in tunable][0] == "epsilon"
+    assert list(cfg.engine.items()) == [(f.name, f.default) for f in tunable]
+
+
+def test_engine_values_keep_their_field_type(tmp_path):
+    text = N1_CONFIG.replace(
+        "k_max = 1000000000", "k_max = 1000000000\nangle_tol = 0.25\ndelta = 0.02"
+    )
+    cfg = load_config(_write(tmp_path, "n1.ini", text))
+    again = load_config(_write(tmp_path, "n1_canonical.ini", serialize_config(cfg)))
+    assert again.engine == cfg.engine
+    assert type(again.engine["k_max"]) is int and again.engine["k_max"] == 10**9
+    assert type(again.engine["angle_tol"]) is float
+    assert again.engine["angle_tol"] == 0.25 and again.engine["delta"] == 0.02
+
+
+def test_zero_angle_tol_exits_two_with_failure(tmp_path):
+    text = N1_CONFIG.replace("k_max = 1000000000", "k_max = 1000000000\nangle_tol = 0")
+    cfg_path = _write(tmp_path, "tol0.ini", text)
+    out = tmp_path / "out"
+    assert run_cli(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == 2
+    failure = json.loads((out / "report.json").read_text())["results"]["failure"]
+    assert failure["error"] == "ValidityError"
+    assert "angle_tol" in failure["message"]
+
+
+def test_empty_torus_shell_exits_two_with_failure(tmp_path):
+    text = GOOD_INNER_CONFIG.replace("good-inner", "diagnose-inner") + (
+        "\n[diagnostics]\nangles_per_dim = 0\n"
+    )
+    cfg_path = _write(tmp_path, "empty.ini", text)
+    out = tmp_path / "out"
+    assert run_cli(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == 2
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert "radial" not in results
+    assert results["failure"]["error"] == "ValidityError"
 
 
 def test_good_inner_mode_csv_values(tmp_path):

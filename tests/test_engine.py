@@ -56,14 +56,15 @@ def swap_sequence():
 def test_project_constant_half():
     probe = CompactProbe.create(0.25, 1)
     pin = TorusPoint((1.0,))
-    g = project_to_family(Constant(0.5, 1), pin, 20, 0.02, probe, depth=16)
-    assert probe_sup(g.product, Constant(0.5, 1), probe) <= 0.02 + 8 * 2.0**-20
+    g, achieved = project_to_family(Constant(0.5, 1), pin, 20, 0.02, probe, depth=16)
+    assert achieved == probe_sup(g.product, Constant(0.5, 1), probe)
+    assert achieved <= 0.02 + 8 * 2.0**-20
 
 
 def test_project_coordinate_is_exact():
     probe = CompactProbe.create(0.25, 1)
     pin = TorusPoint((1.0,))
-    g = project_to_family(Coordinate(1, 1), pin, 20, 1e-6, probe)
+    g, _ = project_to_family(Coordinate(1, 1), pin, 20, 1e-6, probe)
     assert g.approximant == Coordinate(1, 1)
     assert probe_sup(g.product, Coordinate(1, 1), probe) <= 8 * 2.0**-20
 
@@ -72,7 +73,7 @@ def test_project_unimodular_constant():
     probe = CompactProbe.create(0.25, 1)
     pin = TorusPoint((1j,))
     u = Constant(complex(math.cos(0.8), math.sin(0.8)), 1)
-    g = project_to_family(u, pin, 15, 1e-6, probe)
+    g, _ = project_to_family(u, pin, 15, 1e-6, probe)
     assert abs(g.product.eval(pin) - 1.0) < 1e-9
 
 
@@ -80,7 +81,7 @@ def test_project_bivariate_product_form():
     probe = CompactProbe.create(0.25, 2)
     pin = TorusPoint((1.0, 1.0))
     f = Product((Constant(0.5, 2), Coordinate(1, 2), Coordinate(2, 2)))
-    g = project_to_family(f, pin, 16, 0.01, probe)
+    g, _ = project_to_family(f, pin, 16, 0.01, probe)
     assert probe_sup(g.product, f, probe) <= 0.01 + 8 * 2.0**-16
 
 
@@ -103,18 +104,46 @@ def test_choose_stage_index_trivial_target():
     seq = constant_sequence()
     sel = select_subsequence(seq, 64, math.pi / 16)
     axes = CompactProbe.create(0.3, 1).axes()
-    n1 = choose_stage_index(
+    chosen = choose_stage_index(
         sel, axes, [], Constant(1.0, 1), j=1, floor=0, delta=0.01, k_max=10**6
     )
-    assert n1 == 1
-    assert stage_condition_values(seq, axes, [], Constant(1.0, 1), 1) == (0.0, 0.0)
+    assert chosen == (1, (), 0.0)
+    assert stage_condition_values(seq, axes, [], Constant(1.0, 1), 1) == ((), 0.0)
+
+
+def test_choose_stage_index_returns_the_values_of_its_index():
+    # the stage-2 search of a two-target run, replayed: the values it
+    # returns are the probe's at the chosen index, bit for bit, and they are
+    # the ones the stage record reports
+    seq = constant_sequence()
+    probe = CompactProbe.create(0.3, 1)
+    cfg = EngineConfig(
+        sequence=seq,
+        targets=(Constant(0.5, 1), Coordinate(1, 1)),
+        probe=probe,
+        k_max=10**9,
+    )
+    run = run_universality(cfg)
+    first, second = run.stages
+    assert second.escalations == 0
+    factors = [first.factor.product]
+    k, conds_a, cond_b = choose_stage_index(
+        run.selection, probe.axes(), factors, second.projected.product, j=2,
+        floor=first.chosen_index, delta=cfg.delta, k_max=cfg.k_max,
+    )
+    assert k == second.chosen_index
+    assert len(conds_a) == 1
+    assert (conds_a, cond_b) == stage_condition_values(
+        seq, probe.axes(), factors, second.projected.product, k
+    )
+    assert (conds_a, cond_b) == (second.condition_a, second.condition_b)
 
 
 def test_condition_b_contracts_with_index():
     seq = constant_sequence()
     probe = CompactProbe.create(0.3, 1)
     pin = TorusPoint((1.0,))
-    projected = project_to_family(Constant(0.5, 1), pin, 13, 0.0125, probe)
+    projected, _ = project_to_family(Constant(0.5, 1), pin, 13, 0.0125, probe)
     values = [
         stage_condition_values(seq, probe.axes(), [], projected.product, k)[1]
         for k in (10, 100, 1000)
@@ -136,7 +165,7 @@ def test_sequence_exhausted_for_stalled_moduli():
     sel = select_subsequence(seq, 64, math.pi / 16, boundary_tol=0.75)
     probe = CompactProbe.create(0.3, 1)
     pin = TorusPoint((1.0,))
-    projected = project_to_family(Constant(0.5, 1), pin, 13, 0.0125, probe)
+    projected, _ = project_to_family(Constant(0.5, 1), pin, 13, 0.0125, probe)
     with pytest.raises(SequenceExhausted) as excinfo:
         choose_stage_index(
             sel, probe.axes(), [], projected.product, j=1, floor=0,

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from innerorbit import (
-    COMetric,
     CompactProbe,
     Constant,
     Coordinate,
@@ -10,7 +9,6 @@ from innerorbit import (
     Power,
     Product,
     TorusPoint,
-    metric_distance,
     probe_sup,
 )
 from innerorbit.errors import DimensionMismatch, ValidityError
@@ -60,38 +58,6 @@ def test_probe_sup_dimension_mismatch():
     probe = CompactProbe.create(0.5, 2)
     with pytest.raises(DimensionMismatch):
         probe_sup(Coordinate(1, 1), Constant(0.0, 1), probe)
-
-
-def test_metric_identity_case():
-    metric = COMetric.create(8, 1)
-    f = Constant(0.5, 1)
-    assert metric_distance(f, f, metric) == 0.0
-
-
-def test_metric_saturated_constants():
-    metric = COMetric.create(8, 1)
-    d = metric_distance(Constant(0.0, 1), Constant(1.0, 1), metric)
-    assert d == pytest.approx(0.99609375, abs=1e-15)
-
-
-def test_metric_small_constant_difference():
-    metric = COMetric.create(8, 1)
-    d = metric_distance(Constant(0.0, 1), Constant(0.25, 1), metric)
-    assert d == pytest.approx(0.2490234375, abs=1e-15)
-
-
-def test_metric_triangle_inequality_on_random_trees():
-    rng = np.random.default_rng(11)
-    metric = COMetric.create(6, 1, points_per_dim=16)
-    for _ in range(20):
-        f = random_blaschke_tree(rng, 1)
-        g = random_blaschke_tree(rng, 1)
-        h = random_blaschke_tree(rng, 1)
-        dfg = metric_distance(f, g, metric)
-        assert dfg <= metric_distance(f, h, metric) + metric_distance(
-            h, g, metric
-        ) + 1e-12
-        assert dfg == pytest.approx(metric_distance(g, f, metric), abs=1e-15)
 
 
 def test_probe_sup_monotone_in_radius_for_powers():

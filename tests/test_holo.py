@@ -6,15 +6,14 @@ import pytest
 from innerorbit import (
     BlaschkeFactor,
     Composed,
-    CompositionOperator,
     Constant,
     Coordinate,
     MobiusFactor,
     PolydiskAutomorphism,
     Power,
     Product,
-    apply_operator,
     auto_eval,
+    auto_inverse,
     flatten,
     is_blaschke_type,
     probe_sup,
@@ -77,8 +76,7 @@ def test_ball_membership_on_random_points():
 
 def test_apply_operator_identity_symbol():
     f = Product((Coordinate(1, 2), Constant(0.5, 2)))
-    op = CompositionOperator(PolydiskAutomorphism.identity(2))
-    g = apply_operator(op, f)
+    g = Composed(PolydiskAutomorphism.identity(2), f)
     probe = CompactProbe.create(0.5, 2, points_per_dim=8)
     assert probe_sup(g, f, probe) < 1e-12
 
@@ -87,7 +85,7 @@ def test_apply_operator_bitwise_exactness():
     rng = np.random.default_rng(43)
     phi = random_automorphism(rng, 2)
     f = random_blaschke_tree(rng, 2)
-    g = apply_operator(CompositionOperator(phi), f)
+    g = Composed(phi, f)
     for pt in random_interior_points(rng, 20, 2):
         assert g.eval(tuple(pt)) == f.eval(auto_eval(phi, tuple(pt)))
 
@@ -98,10 +96,9 @@ def test_right_inverse_law():
     for _ in range(20):
         phi = random_automorphism(rng, 2)
         f = random_blaschke_tree(rng, 2)
-        t = CompositionOperator(phi)
-        r = CompositionOperator(phi, inverse=True)
-        assert probe_sup(apply_operator(t, apply_operator(r, f)), f, probe) < 1e-10
-        assert probe_sup(apply_operator(r, apply_operator(t, f)), f, probe) < 1e-10
+        inv = auto_inverse(phi)
+        assert probe_sup(Composed(phi, Composed(inv, f)), f, probe) < 1e-10
+        assert probe_sup(Composed(inv, Composed(phi, f)), f, probe) < 1e-10
 
 
 def test_operator_is_multiplicative():
@@ -111,9 +108,8 @@ def test_operator_is_multiplicative():
         phi = random_automorphism(rng, 2)
         f = random_blaschke_tree(rng, 2)
         g = random_blaschke_tree(rng, 2)
-        t = CompositionOperator(phi)
-        lhs = apply_operator(t, Product((f, g)))
-        rhs = Product((apply_operator(t, f), apply_operator(t, g)))
+        lhs = Composed(phi, Product((f, g)))
+        rhs = Product((Composed(phi, f), Composed(phi, g)))
         assert probe_sup(lhs, rhs, probe) < 1e-12
 
 

@@ -14,7 +14,6 @@ from innerorbit import (
     Product,
     TorusPoint,
     Composed,
-    good_inner_integral,
     good_inner_integral_detail,
     good_inner_trend,
     jensen_oracle,
@@ -57,26 +56,34 @@ def test_radial_blaschke_near_boundary():
     assert rep.deviations[0] < 0.005
 
 
+@pytest.mark.parametrize("angles", [0, -3])
+def test_radial_rejects_an_empty_shell(angles):
+    # no angles would mean no points, and a deviation of 0 that reads as
+    # perfectly inner for the constant 0.1 (true deviation 0.9)
+    with pytest.raises(ValidityError, match="at least one angle"):
+        radial_modulus_report(Constant(0.1, 2), (0.5,), angles)
+
+
 # ---------------------------------------------------------------------------
 # torus quadrature and the Jensen oracle
 
 def test_integral_coordinate_exact():
     for r in (0.3, 0.9):
-        assert good_inner_integral(Coordinate(1, 1), r, 64) == pytest.approx(
+        assert good_inner_integral_detail(Coordinate(1, 1), r, 64)[0] == pytest.approx(
             math.log(r), abs=1e-12
         )
 
 
 def test_integral_bidisk_product():
     f = Product((Coordinate(1, 2), Coordinate(2, 2)))
-    assert good_inner_integral(f, 0.7, 64) == pytest.approx(
+    assert good_inner_integral_detail(f, 0.7, 64)[0] == pytest.approx(
         2 * math.log(0.7), abs=1e-12
     )
 
 
 def test_integral_blaschke_against_jensen():
     g = BlaschkeFactor(MobiusFactor(0.5, 0.0), 1, 1)
-    val = good_inner_integral(g, 0.9, 512)
+    val = good_inner_integral_detail(g, 0.9, 512)[0]
     assert val == pytest.approx(math.log(0.9), abs=1e-6)
     assert val == pytest.approx(jensen_oracle([0.5], 0.5, 0.9), abs=1e-6)
 
