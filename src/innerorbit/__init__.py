@@ -22,6 +22,7 @@ from .automorphisms import (
     mobius_compose,
     normalize_angle,
     select_subsequence,
+    transform_batch,
 )
 from .engine import (
     EngineConfig,

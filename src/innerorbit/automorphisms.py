@@ -44,6 +44,22 @@ def normalize_angle(theta: float) -> float:
     return r
 
 
+def _moebius(alpha, phase, z: np.ndarray) -> np.ndarray:
+    """phase * (alpha - z) / (1 - conj(alpha) z) on an array ``z``; ``alpha``
+    and ``phase`` are scalars or arrays that broadcast against it.
+
+    Every product names its operand order: from 16 384 points up numpy
+    reuses a temporary and computes ``a * b`` as b * a, and complex multiply
+    is not bitwise commutative.
+    """
+    den = 1.0 - np.multiply(np.conjugate(alpha), z)
+    mods = np.abs(den)
+    if np.min(mods) < POLE_TOL:
+        bad = np.broadcast_to(alpha, den.shape).flat[np.argmin(mods)]
+        raise PoleHit(f"denominator vanished for factor alpha={complex(bad)}")
+    return np.multiply(phase, alpha - z) / den
+
+
 @dataclass(frozen=True)
 class MobiusFactor:
     """One disk automorphism z -> e^{i theta} (alpha - z)/(1 - conj(alpha) z).
@@ -81,19 +97,14 @@ class MobiusFactor:
 
     def __call__(self, z):
         """Evaluate at a complex scalar or numpy array."""
+        if isinstance(z, np.ndarray):
+            return _moebius(self.alpha, self.phase, z)
+        # scalars keep scalar arithmetic, whose bits a ufunc call does not
+        # reproduce
         den = 1.0 - np.conjugate(self.alpha) * z
-        if np.min(np.abs(den)) < POLE_TOL:
+        if abs(den) < POLE_TOL:
             raise PoleHit(f"denominator vanished for factor alpha={self.alpha}")
-        num = self.alpha - z
-        # arrays name the operand order: from 16 384 points up numpy reuses
-        # the temporary and computes num * phase, and complex multiply is not
-        # bitwise commutative; scalars keep scalar arithmetic, whose bits a
-        # ufunc call does not reproduce
-        if isinstance(num, np.ndarray):
-            num = np.multiply(self.phase, num)
-        else:
-            num = self.phase * num
-        return num / den
+        return self.phase * (self.alpha - z) / den
 
     def inverse(self) -> "MobiusFactor":
         """The factor with alpha' = e^{i theta} alpha, theta' = -theta."""
@@ -172,6 +183,28 @@ class PolydiskAutomorphism:
             tuple(f(axes.coords[p]) for f, p in zip(self.factors, self.perm))
         )
         return out if axes is pts else out.to_array()
+
+
+def transform_batch(autos, axes: PointAxes) -> PointAxes:
+    """The images of ``axes`` under automorphisms that share one
+    permutation, stacked on a new leading axis: slice k of each coordinate
+    is that of ``autos[k].transform(axes)``, bit for bit.
+
+    Each factor's alpha and phase are read off the factor itself, laid
+    along the leading axis, and every point goes through the Moebius
+    arithmetic of ``transform``.
+    """
+    perm = autos[0].perm
+    if any(a.perm != perm for a in autos):
+        raise ValidityError("transform_batch needs one shared permutation")
+    coords = []
+    for j, p in enumerate(perm):
+        z = axes.coords[p][np.newaxis]
+        shape = (len(autos),) + (1,) * (z.ndim - 1)
+        alpha = np.array([a.factors[j].alpha for a in autos]).reshape(shape)
+        phase = np.array([a.factors[j].phase for a in autos]).reshape(shape)
+        coords.append(_moebius(alpha, phase, z))
+    return PointAxes(tuple(coords))
 
 
 def _point_array(point, dimension: int) -> np.ndarray:

@@ -14,6 +14,7 @@ report with a failure object is still written).
 from __future__ import annotations
 
 import argparse
+import cmath
 import configparser
 import csv
 import io
@@ -167,9 +168,30 @@ class Report:
 #: default, each parsed with the type of its default
 _ENGINE_FIELDS = tuple(f for f in fields(EngineConfig) if f.default is not MISSING)
 
+#: the keys of each section; [targets] keys are free-form
+_SECTION_KEYS = {
+    "run": ("mode", "dimension", "seed"),
+    "sequence": ("kind", "lambda", "rate", "theta", "perm", "autos"),
+    "probe": ("radius", "points_per_dim"),
+    "engine": tuple(f.name for f in _ENGINE_FIELDS),
+    "diagnostics": ("radii", "angles_per_dim"),
+    "good_inner": ("radii", "quad_points", "clamp", "tolerance"),
+    "verify": ("x", "indices", "k", "random_points"),
+    "output": ("report", "tables"),
+}
+
 
 def _floats(text: str) -> tuple:
     return tuple(float(x) for x in text.split(","))
+
+
+def _finite(section: str, key: str, values):
+    """``values`` (a number or a tuple of numbers) once every number in it
+    is finite: a NaN or an infinity has no JSON form in the report."""
+    for v in values if isinstance(values, tuple) else (values,):
+        if not cmath.isfinite(v):
+            raise ConfigError(f"[{section}] {key} must be finite, got {v!r}")
+    return values
 
 
 def _complexes(text: str) -> tuple:
@@ -200,6 +222,16 @@ def load_config(path: Path, mode_override=None, seed_override=None) -> RunConfig
         cp.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"unparseable config: {exc}") from exc
+    inherited = set(cp.defaults())
+    for section, known in _SECTION_KEYS.items():
+        if not cp.has_section(section):
+            continue
+        for key in cp.options(section):
+            if key not in known and key not in inherited:
+                raise ConfigError(
+                    f"unknown key {key!r} in [{section}]; [{section}] accepts "
+                    + ", ".join(known)
+                )
 
     def get(section, key, default=None):
         if cp.has_option(section, key):
@@ -216,6 +248,12 @@ def load_config(path: Path, mode_override=None, seed_override=None) -> RunConfig
 
 
 def _load_config_body(cp, get, mode, seed_override) -> RunConfig:
+    def real(section, key, default):
+        return _finite(section, key, float(get(section, key, default)))
+
+    def reals(section, key, default):
+        return list(_finite(section, key, _floats(get(section, key, default))))
+
     dimension = int(get("run", "dimension", "1"))
     seed = int(seed_override if seed_override is not None
                else get("run", "seed", "0"))
@@ -230,13 +268,15 @@ def _load_config_body(cp, get, mode, seed_override) -> RunConfig:
             lam_text = get("sequence", "lambda")
             if lam_text is None:
                 raise ConfigError("[sequence] lambda is required")
-            direction = _complexes(lam_text)
-            rate = float(get("sequence", "rate", "1.0"))
+            direction = _finite("sequence", "lambda", _complexes(lam_text))
+            rate = real("sequence", "rate", "1.0")
             theta_text = get("sequence", "theta",
                              ",".join(["0.0"] * dimension))
             perm_text = get("sequence", "perm",
                             ",".join(str(i) for i in range(1, dimension + 1)))
-            theta_cycle = tuple(_floats(v) for v in theta_text.split("|"))
+            theta_cycle = tuple(
+                _finite("sequence", "theta", _floats(v)) for v in theta_text.split("|")
+            )
             perm_cycle = tuple(
                 tuple(int(x) for x in v.split(",")) for v in perm_text.split("|")
             )
@@ -275,7 +315,7 @@ def _load_config_body(cp, get, mode, seed_override) -> RunConfig:
 
     # ---- probe ----
     probe = {
-        "radius": float(get("probe", "radius", "0.3")),
+        "radius": real("probe", "radius", "0.3"),
         "points_per_dim": int(
             get("probe", "points_per_dim", str(default_points_per_dim(dimension)))
         ),
@@ -285,17 +325,20 @@ def _load_config_body(cp, get, mode, seed_override) -> RunConfig:
     engine = {}
     for f in _ENGINE_FIELDS:
         raw = get("engine", f.name)
-        engine[f.name] = f.default if raw is None else type(f.default)(raw)
+        engine[f.name] = (
+            f.default if raw is None
+            else _finite("engine", f.name, type(f.default)(raw))
+        )
 
     diagnostics = {
-        "radii": list(_floats(get("diagnostics", "radii", "0.9,0.99,0.999"))),
+        "radii": reals("diagnostics", "radii", "0.9,0.99,0.999"),
         "angles_per_dim": int(get("diagnostics", "angles_per_dim", "256")),
     }
     good_inner = {
-        "radii": list(_floats(get("good_inner", "radii", "0.9,0.99,0.999"))),
+        "radii": reals("good_inner", "radii", "0.9,0.99,0.999"),
         "quad_points": int(get("good_inner", "quad_points", "512")),
-        "clamp": float(get("good_inner", "clamp", "40.0")),
-        "tolerance": float(get("good_inner", "tolerance", "0.02")),
+        "clamp": real("good_inner", "clamp", "40.0"),
+        "tolerance": real("good_inner", "tolerance", "0.02"),
     }
 
     verify: dict = {

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -327,3 +328,113 @@ def test_module_entry_point_runs(tmp_path, k_max, expected):
     assert proc.returncode == code, proc.stderr
     report = tmp_path / "module" / "report.json"
     assert report.read_bytes() == (tmp_path / "direct" / "report.json").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# config values and keys the loader refuses
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key,old,new", [
+    ("engine", "angle_tol", "k_max = 1000000000",
+     "k_max = 1000000000\nangle_tol = {}"),
+    ("engine", "epsilon", "k_max = 1000000000", "k_max = 1000000000\nepsilon = {}"),
+    ("probe", "radius", "radius = 0.3", "radius = {}"),
+    ("sequence", "rate", "rate = 1.0", "rate = {}"),
+    ("sequence", "theta", "theta = 0.0", "theta = {}"),
+    ("diagnostics", "radii", "[output]", "[diagnostics]\nradii = 0.9,{}\n\n[output]"),
+    ("good_inner", "radii", "[output]", "[good_inner]\nradii = {},0.99\n\n[output]"),
+    ("good_inner", "clamp", "[output]", "[good_inner]\nclamp = {}\n\n[output]"),
+    ("good_inner", "tolerance", "[output]", "[good_inner]\ntolerance = {}\n\n[output]"),
+])
+def test_non_finite_value_exits_one(tmp_path, capsys, value, section, key, old, new):
+    assert old in N1_CONFIG
+    cfg_path = _write(tmp_path, "bad.ini", N1_CONFIG.replace(old, new.format(value)))
+    out = tmp_path / "out"
+    assert run_cli(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith(f"[{section}] {key} must be finite")
+    assert not (out / "report.json").exists()
+
+
+def test_unknown_key_exits_one(tmp_path, capsys):
+    text = N1_CONFIG.replace("k_max = 1000000000", "kmax = 1000")
+    cfg_path = _write(tmp_path, "typo.ini", text)
+    assert run_cli(["--config", str(cfg_path), "--quiet"]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ConfigError"
+    assert "'kmax' in [engine]" in error["message"]
+    assert "k_max" in error["message"]
+    with pytest.raises(ConfigError, match="unknown key 'radious' in \\[probe\\]"):
+        load_config(_write(tmp_path, "p.ini", N1_CONFIG.replace("radius", "radious")))
+
+
+def test_target_keys_are_free_form(tmp_path):
+    text = N1_CONFIG.replace("f2 = z[1]", "second = z[1]")
+    cfg = load_config(_write(tmp_path, "t.ini", text))
+    assert cfg.targets == ("const 0.5+0i", "z[1]")
+
+
+def test_shipped_and_benchmark_configs_load(tmp_path, monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    texts = [p.read_text(encoding="utf-8") for p in sorted(root.glob("configs/*.ini"))]
+    assert len(texts) == 3
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", root / "perfbench" / "workloads.py"
+    )
+    w = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, w)
+    spec.loader.exec_module(w)
+    inputs = w.Inputs.from_seed(0)
+    for make in (w.n1_two, w.n2_swap, w.n1_three, w.n3_two):
+        text = make(inputs)
+        texts += [text, w.verify_config(text, "z[1]", f"k = {w.SWEEP_K}"),
+                  w.verify_config(text, "z[1]", "indices = 3,9")]
+    for n, targets in ((1, ["z[1]", w._blaschke_n1(inputs.zeros_n1[0])]),
+                       (2, ["z[1]", w._blaschke_n2(inputs.zeros_n2[0])])):
+        for mode in ("good-inner", "diagnose-inner"):
+            texts.append(w.diagnostics_config(mode, inputs, n, targets))
+    for i, text in enumerate(texts):
+        load_config(_write(tmp_path, f"c{i}.ini", text))
+
+
+# ---------------------------------------------------------------------------
+# orbit indices outside the sequence
+
+
+VERIFY_EXPLICIT = """\
+[run]
+mode = verify-orbit
+dimension = 1
+
+[sequence]
+kind = explicit
+autos = auto{p=[1], a=[0.5+0i], t=[0.0]} | auto{p=[1], a=[0.9+0i], t=[0.0]}
+
+[targets]
+f1 = const 1+0i
+
+[probe]
+radius = 0.3
+
+[verify]
+x = z[1]
+"""
+
+
+@pytest.mark.parametrize("text,indices,message", [
+    (N1_CONFIG.replace("construct-universal", "verify-orbit")
+     + "\n[verify]\nx = z[1]\n", "0", "orbit indices start at 1, got 0"),
+    (N1_CONFIG.replace("construct-universal", "verify-orbit")
+     + "\n[verify]\nx = z[1]\n", "-5,3", "orbit indices start at 1, got -5"),
+    (VERIFY_EXPLICIT, "0", "orbit indices start at 1, got 0"),
+    (VERIFY_EXPLICIT, "1,3", "orbit index 3 is past the sequence length 2"),
+])
+def test_orbit_index_outside_the_sequence_exits_two(tmp_path, text, indices, message):
+    cfg_path = _write(tmp_path, "v.ini", text + f"indices = {indices}\n")
+    out = tmp_path / "out"
+    assert run_cli(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == 2
+    failure = json.loads((out / "report.json").read_text())["results"]["failure"]
+    assert failure == {"error": "ValidityError", "message": message}

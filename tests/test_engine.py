@@ -23,13 +23,18 @@ from innerorbit import (
     select_subsequence,
     verify_orbit,
 )
+from innerorbit import engine
 from innerorbit.engine import _corrector_index_for, stage_condition_values
 from innerorbit.errors import (
     InterferenceBudgetExceeded,
     NoBoundaryConvergence,
     SequenceExhausted,
     UnsupportedTargetShape,
+    ValidityError,
 )
+
+from test_kernel import random_tree
+from util import random_automorphism
 
 
 def constant_sequence(n=1):
@@ -390,6 +395,109 @@ def test_verify_orbit_reproduces_run_table():
     for row, expected in zip(rows, run.verification):
         assert row["best_index"] == expected["best_index"]
         assert abs(row["value"] - expected["value"]) <= 1e-12
+
+
+def reference_sweep(x, seq, targets, probe, indices):
+    """verify_orbit one index at a time: the first smallest sup wins."""
+    axes = probe.axes()
+    grids = [t._eval(axes) for t in targets]
+    best = [{"target": i + 1, "best_index": None, "value": math.inf}
+            for i in range(len(targets))]
+    for k in indices:
+        xv = x._eval(seq.at(k).transform(axes))
+        for i, grid in enumerate(grids):
+            err = float(np.max(np.abs(xv - grid)))
+            if err < best[i]["value"]:
+                best[i] = {"target": i + 1, "best_index": k, "value": err}
+    return best
+
+
+def cycle_sequence():
+    return GeneratedSequence(
+        direction=(1.0 + 0j, 1j),
+        rate=0.9,
+        theta_cycle=((0.0, 0.3),),
+        perm_cycle=((0, 1), (1, 0)),
+    )
+
+
+def explicit_sequence(rng, n, count):
+    return ExplicitSequence(random_automorphism(rng, n) for _ in range(count))
+
+
+def fitted_product():
+    seq = constant_sequence()
+    probe = CompactProbe.create(0.3, 1)
+    targets = (Constant(0.5, 1), Coordinate(1, 1))
+    run = run_universality(
+        EngineConfig(sequence=seq, targets=targets, probe=probe, k_max=10**9)
+    )
+    return run.product, seq, targets, probe
+
+
+def sweep_cases():
+    """(x, sequence, targets, probe, indices) for the batched sweep."""
+    rng = np.random.default_rng(7000)
+    x, seq, targets, probe = fitted_product()
+    cases = [(x, seq, targets, probe, range(1, 251))]
+    probe2 = CompactProbe.create(0.3, 2, points_per_dim=6)
+    for _ in range(3):
+        x2 = random_tree(rng, 2)
+        targets2 = (random_tree(rng, 2), random_tree(rng, 2))
+        cases.append((x2, cycle_sequence(), targets2, probe2, range(1, 100)))
+        cases.append((x2, explicit_sequence(rng, 2, 40), targets2, probe2,
+                      range(1, 41)))
+        cases.append((x2, cycle_sequence(), targets2, probe2,
+                      [40, 3, 17, 3, 200, 2, 999, 18, 2, 40]))
+    probe3 = CompactProbe.create(0.25, 3, points_per_dim=3)
+    x3 = random_tree(rng, 3)
+    cases.append((x3, explicit_sequence(rng, 3, 30), (random_tree(rng, 3),),
+                  probe3, [30, 1, 29, 1, 15]))
+    return cases
+
+
+@pytest.mark.parametrize("batch", ["default", "below_one_index", "not_dividing"])
+def test_verify_orbit_equals_one_index_at_a_time(monkeypatch, batch):
+    for x, seq, targets, probe, indices in sweep_cases():
+        points = probe.axes().shape[0]
+        if batch == "below_one_index":
+            monkeypatch.setattr(engine, "_BATCH_POINTS", points - 1)
+        elif batch == "not_dividing":
+            # chunks of 7 indices: no sweep here is a multiple of 7
+            monkeypatch.setattr(engine, "_BATCH_POINTS", 7 * points + 3)
+            assert len(indices) % 7
+        expected = reference_sweep(x, seq, targets, probe, list(indices))
+        horizon = max(indices)
+        got = verify_orbit(x, seq, targets, probe, horizon, list(indices))
+        assert got == expected
+        if indices == range(1, horizon + 1):
+            assert verify_orbit(x, seq, targets, probe, horizon) == expected
+
+
+def test_verify_orbit_constant_reports_the_first_index():
+    probe = CompactProbe.create(0.3, 2, points_per_dim=4)
+    x, targets = Constant(0.5, 2), (Constant(0.2, 2), Coordinate(1, 2))
+    rows = verify_orbit(x, cycle_sequence(), targets, probe, 0, [7, 3, 9, 3, 1])
+    assert rows[0] == {"target": 1, "best_index": 7, "value": 0.3}
+    rows = verify_orbit(x, cycle_sequence(), targets, probe, 60)
+    assert rows[0]["best_index"] == 1
+
+
+@pytest.mark.parametrize("indices", [[0], [-5, 3], [1, 2, 3, 0]])
+def test_verify_orbit_rejects_indices_below_one(indices):
+    probe = CompactProbe.create(0.3, 1)
+    with pytest.raises(ValidityError, match="start at 1"):
+        verify_orbit(Coordinate(1, 1), constant_sequence(), (Constant(0.5, 1),),
+                     probe, 0, indices)
+
+
+@pytest.mark.parametrize("indices", [[0], [3], [1, 2, 3]])
+def test_verify_orbit_rejects_indices_outside_an_explicit_sequence(indices):
+    rng = np.random.default_rng(7100)
+    probe = CompactProbe.create(0.3, 1)
+    with pytest.raises(ValidityError, match="start at 1|past the sequence length 2"):
+        verify_orbit(Coordinate(1, 1), explicit_sequence(rng, 1, 2),
+                     (Constant(0.5, 1),), probe, 0, indices)
 
 
 def test_run_two_targets_n3():

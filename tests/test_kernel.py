@@ -1,5 +1,5 @@
 """Axis-wise evaluation on probe grids and torus shells against pointwise
-evaluation.
+evaluation, and batched orbit images against one index at a time.
 
 Trees and automorphisms evaluate on a ``PointAxes`` (one array per
 coordinate, broadcasting together). The claim is that this changes no bit:
@@ -20,13 +20,18 @@ from innerorbit import (
     CompactProbe,
     Constant,
     Coordinate,
+    GeneratedSequence,
+    MobiusFactor,
+    PointAxes,
     PolydiskAutomorphism,
     Power,
     Product,
     good_inner_integral_detail,
     radial_modulus_report,
+    transform_batch,
 )
 from innerorbit import inner_tools
+from innerorbit.errors import PoleHit, ValidityError
 
 from util import random_interior_points, random_mobius
 
@@ -234,3 +239,64 @@ def test_torus_shell_row_blocks_count_every_point_once(monkeypatch, chunk, tol):
             got_mean, got_clamped = good_inner_integral_detail(f, r, q, CLAMP)
             assert got_clamped == clamped
             assert abs(got_mean - mean) <= tol
+
+
+# ---------------------------------------------------------------------------
+# orbit images of several indices on one leading axis
+
+
+def shared_perm_autos(rng, n, count):
+    """Automorphisms of one non-identity permutation (when n > 1): random
+    ones and members of a generated sequence, some close to the boundary."""
+    perm = shuffled_automorphism(rng, n).perm
+    autos = [
+        PolydiskAutomorphism(tuple(random_mobius(rng) for _ in range(n)), perm)
+        for _ in range(count)
+    ]
+    seq = GeneratedSequence(
+        direction=tuple(complex(np.exp(1j * rng.uniform(-math.pi, math.pi)))
+                        for _ in range(n)),
+        rate=rng.uniform(0.5, 1.0),
+        theta_cycle=(tuple(rng.uniform(-math.pi, math.pi, size=n)),),
+        perm_cycle=(perm,),
+    )
+    autos += [seq.at(k) for k in (1, 2, 7, 250, 10**6, 10**9)]
+    return autos
+
+
+@pytest.mark.parametrize("probe", PROBES, ids=lambda p: f"n{p.dimension}q{p.points_per_dim}")
+def test_batched_orbit_images_equal_one_index_at_a_time(probe):
+    rng = np.random.default_rng(6000 + 10 * probe.dimension + probe.points_per_dim)
+    axes = probe.axes()
+    layout = axes.layout
+    autos = shared_perm_autos(rng, probe.dimension, 3)
+    batch = transform_batch(autos, axes)
+    assert batch.layout == (len(autos),) + layout
+    for k, phi in enumerate(autos):
+        single = phi.transform(axes)
+        for got, expected in zip(batch.coords, single.coords):
+            assert np.array_equal(got[k], expected)
+    for _ in range(30):
+        f = random_tree(rng, probe.dimension)
+        values = np.broadcast_to(f._eval(batch), batch.layout)
+        for k, phi in enumerate(autos):
+            expected = np.broadcast_to(f._eval(phi.transform(axes)), layout)
+            assert np.array_equal(values[k], expected)
+
+
+def test_transform_batch_needs_one_permutation():
+    rng = np.random.default_rng(6100)
+    swap = PolydiskAutomorphism(tuple(random_mobius(rng) for _ in range(2)), (1, 0))
+    keep = PolydiskAutomorphism(tuple(random_mobius(rng) for _ in range(2)), (0, 1))
+    with pytest.raises(ValidityError, match="permutation"):
+        transform_batch([swap, keep], CompactProbe.create(0.3, 2).axes())
+
+
+def test_pole_names_the_factor_that_hit_it():
+    # z = 2 is the pole of the factor with alpha = 0.5
+    z = PointAxes((np.array([0.0, 2.0 + 0j]),))
+    with pytest.raises(PoleHit, match=r"alpha=\(0\.5\+0j\)"):
+        MobiusFactor(0.5, 0.3)(z.coords[0])
+    autos = [PolydiskAutomorphism((MobiusFactor(a, 0.3),), (0,)) for a in (0.25, 0.5)]
+    with pytest.raises(PoleHit, match=r"alpha=\(0\.5\+0j\)"):
+        transform_batch(autos, z)

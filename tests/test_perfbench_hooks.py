@@ -46,3 +46,27 @@ def test_tracer_installs_records_and_uninstalls(tmp_path):
                  "holo.eval", "dsl.parse", "cli.load_config", "cli.render"):
         assert calls.get(name, 0) > 0, name
     assert calls["engine.stages_completed"] == 2
+
+
+def test_tracer_counts_every_index_of_a_batched_sweep(tmp_path):
+    # the sweep evaluates its indices in batches; the benchmark's
+    # s_per_index still divides by the indices swept, and every alpha still
+    # comes from the sequence's at()
+    spans = _load_spans()
+    tracer = spans.Tracer(cli, engine, automorphisms, holo)
+    text = N1_CONFIG.replace("construct-universal", "verify-orbit")
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(text + "\n[verify]\nx = z[1] * const 0.5+0i\nk = 20\n",
+                   encoding="utf-8")
+    tracer.install()
+    try:
+        tracer.begin_op(0)
+        code = cli.run_cli(["--config", str(cfg), "--out", str(tmp_path), "--quiet"])
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    op = tracer.per_op()[0]
+    assert op["engine.verify_orbit"]["calls"] == 1
+    assert op["engine.verify_orbit"]["amount"] == 20
+    assert op["automorphisms.sequence_at"]["calls"] == 20
