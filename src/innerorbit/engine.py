@@ -513,11 +513,14 @@ def verify_orbit(
     length = seq.length
     if indices is None:
         top = horizon if length is None else min(horizon, length)
+        # sliced chunk by chunk, never listed: its ends bound it
         indices = range(1, top + 1)
-    indices = [int(k) for k in indices]
+        checked = (indices[0], indices[-1]) if indices else ()
+    else:
+        indices = checked = [int(k) for k in indices]
     if not indices:
         raise ValidityError("no orbit indices to check")
-    for k in indices:
+    for k in checked:
         if k < 1:
             raise ValidityError(f"orbit indices start at 1, got {k}")
         if length is not None and k > length:
@@ -529,18 +532,25 @@ def verify_orbit(
     size = max(1, _BATCH_POINTS // axes.shape[0])
     for lo in range(0, len(indices), size):
         chunk = indices[lo : lo + size]
-        autos = [seq.at(k) for k in chunk]
-        groups: dict = {}
-        for pos, phi in enumerate(autos):
-            groups.setdefault(phi.perm, []).append(pos)
-        errors = np.empty((len(targets), len(chunk)))
-        for positions in groups.values():
-            xv = x._eval(transform_batch([autos[p] for p in positions], axes))
-            for i, tgrid in enumerate(target_grids):
-                diff = np.abs(xv - tgrid)
-                errors[i, positions] = np.max(diff, axis=tuple(range(1, diff.ndim)))
+        # a helper, so a chunk's automorphisms are freed before the next's
+        errors = _orbit_errors(x, [seq.at(k) for k in chunk], axes, target_grids)
         for pos, k in enumerate(chunk):
             for i, err in enumerate(errors[:, pos].tolist()):
                 if err < best[i]["value"]:
                     best[i] = {"target": i + 1, "best_index": k, "value": err}
     return best
+
+
+def _orbit_errors(x, autos, axes, target_grids) -> np.ndarray:
+    """errors[i, pos] is the probe sup of |x o autos[pos] - target i|; each
+    permutation's share of ``autos`` is one tree evaluation."""
+    groups: dict = {}
+    for pos, phi in enumerate(autos):
+        groups.setdefault(phi.perm, []).append(pos)
+    errors = np.empty((len(target_grids), len(autos)))
+    for positions in groups.values():
+        xv = x._eval(transform_batch([autos[p] for p in positions], axes))
+        for i, tgrid in enumerate(target_grids):
+            diff = np.abs(xv - tgrid)
+            errors[i, positions] = np.max(diff, axis=tuple(range(1, diff.ndim)))
+    return errors

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from innerorbit.errors import (
     ValidityError,
 )
 
-from test_kernel import random_tree
+from test_kernel import random_tree, unstacked_eval
 from util import random_automorphism
 
 
@@ -500,6 +501,28 @@ def test_verify_orbit_rejects_indices_outside_an_explicit_sequence(indices):
                      (Constant(0.5, 1),), probe, 0, indices)
 
 
+def test_verify_orbit_memory_does_not_grow_with_the_horizon():
+    # 9 probe points: chunks of 1 365 indices, so both sweeps hold full
+    # chunks; a list of the whole sweep would add about 36 bytes per index,
+    # and two chunks of automorphisms alive at once about 0.4 MiB
+    probe = CompactProbe.create(0.3, 1, points_per_dim=4)
+    x, targets = Product((Coordinate(1, 1), Constant(0.5, 1))), (Constant(0.5, 1),)
+    peaks, rows = [], []
+    for horizon in (2_000, 20_000):
+        tracemalloc.start()
+        try:
+            rows.append(verify_orbit(x, constant_sequence(), targets, probe, horizon))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 0.25 * 2**20
+    assert rows[0] == reference_sweep(x, constant_sequence(), targets, probe,
+                                      range(1, 2_001))
+    assert rows[1][0]["value"] <= rows[0][0]["value"]
+    with pytest.raises(ValidityError, match="no orbit indices"):
+        verify_orbit(x, constant_sequence(), targets, probe, 0)
+
+
 def test_run_two_targets_n3():
     seq = constant_sequence(3)
     probe = CompactProbe.create(0.25, 3)
@@ -524,6 +547,26 @@ def test_run_two_targets_n3():
     for row, expected in zip(rows, run.verification):
         assert row["best_index"] == expected["best_index"]
         assert row["value"] == expected["value"]
+
+
+def test_run_two_targets_n4():
+    seq = constant_sequence(4)
+    probe = CompactProbe.create(0.25, 4, points_per_dim=8)
+    targets = (
+        Constant(complex(0.5, 0.01), 4),
+        Product(tuple(Coordinate(i, 4) for i in range(1, 5))),
+    )
+    run = run_universality(
+        EngineConfig(sequence=seq, targets=targets, probe=probe, k_max=10**9)
+    )
+    assert run.failure is None
+    assert len(run.stages) == 2
+    # each row is what evaluating the product one leaf at a time gives
+    axes = probe.axes()
+    for row, target in zip(run.verification, targets):
+        assert row["value"] <= row["bound"]
+        xv = unstacked_eval(run.product, seq.at(row["best_index"]).transform(axes))
+        assert row["value"] == float(np.max(np.abs(xv - target._eval(axes))))
 
 
 def test_corrector_index_refuses_image_on_the_circle():

@@ -1,5 +1,6 @@
 """Axis-wise evaluation on probe grids and torus shells against pointwise
-evaluation, and batched orbit images against one index at a time.
+evaluation, batched orbit images against one index at a time, and stacked
+runs of Blaschke leaves against one leaf at a time.
 
 Trees and automorphisms evaluate on a ``PointAxes`` (one array per
 coordinate, broadcasting together). The claim is that this changes no bit:
@@ -300,3 +301,132 @@ def test_pole_names_the_factor_that_hit_it():
     autos = [PolydiskAutomorphism((MobiusFactor(a, 0.3),), (0,)) for a in (0.25, 0.5)]
     with pytest.raises(PoleHit, match=r"alpha=\(0\.5\+0j\)"):
         transform_batch(autos, z)
+
+
+# ---------------------------------------------------------------------------
+# runs of same-coordinate Blaschke leaves in one stacked Moebius evaluation
+
+
+def unstacked_eval(f, pts):
+    """Tree evaluation on a PointAxes with every Blaschke leaf evaluated on
+    its own and every product folded one child at a time."""
+    if isinstance(f, Product):
+        out = unstacked_eval(f.children[0], pts)
+        for c in f.children[1:]:
+            out = np.multiply(out, unstacked_eval(c, pts))
+        return out
+    if isinstance(f, Power):
+        return unstacked_eval(f.child, pts) ** f.exponent
+    if isinstance(f, Composed):
+        return unstacked_eval(f.outer, f.auto.transform(pts))
+    return f._eval(pts)
+
+
+def leaf_run(rng, n, coord, length):
+    return [BlaschkeFactor(random_mobius(rng), coord, n) for _ in range(length)]
+
+
+def run_product(rng, n, depth=2):
+    """A product of runs of same-coordinate Blaschke leaves (lengths 1-17,
+    16 being the engine's stage approximant), broken up by constants,
+    coordinates, powers, compositions, nested products and leaves on other
+    coordinates."""
+    children = []
+    for _ in range(int(rng.integers(1, 5))):
+        coord = int(rng.integers(1, n + 1))
+        children += leaf_run(rng, n, coord, int(rng.choice([1, 2, 5, 16, 17])))
+        breaker = int(rng.integers(6 if depth > 0 else 4))
+        if breaker == 0:
+            children.append(Constant(0.9 * complex(math.cos(coord), math.sin(coord)), n))
+        elif breaker == 1:
+            children.append(Coordinate(coord, n))
+        elif breaker == 2 and n > 1:
+            other = coord % n + 1
+            children += leaf_run(rng, n, other, int(rng.integers(1, 4)))
+        elif breaker == 3:
+            children.append(Power(Product(tuple(leaf_run(rng, n, coord, 3))), 2))
+        elif breaker == 4:
+            children.append(Composed(shuffled_automorphism(rng, n),
+                                     run_product(rng, n, depth - 1)))
+        elif breaker == 5:
+            children.append(run_product(rng, n, depth - 1))
+    if len(children) == 1:
+        children += leaf_run(rng, n, 1, 2)
+    return Product(tuple(children))
+
+
+def stage_shaped_product(rng, n):
+    """P[P[B1 x 16], B1], the shape of every stage approximant the engine
+    builds, with a trailing leaf on the last coordinate."""
+    inner = Product(tuple(leaf_run(rng, n, 1, 16)))
+    return Product((inner, BlaschkeFactor(random_mobius(rng), 1, n),
+                    BlaschkeFactor(random_mobius(rng), n, n)))
+
+
+def stack_layouts(rng):
+    """(name, PointAxes) for every layout the library evaluates on."""
+    layouts = []
+    for n in (1, 2):
+        one = random_interior_points(rng, 1, n)
+        layouts.append((f"point-n{n}", PointAxes.of_array(one)))
+        cloud = random_interior_points(rng, 300, n)
+        layouts.append((f"cloud-n{n}", PointAxes.of_array(cloud)))
+    for n, q in ((1, 64), (2, 6), (3, 3), (4, 2)):
+        layouts.append((f"tensor-n{n}", CompactProbe.create(0.3, n, points_per_dim=q).axes()))
+    for n in (1, 2, 3):
+        axes = CompactProbe.create(0.3, n, points_per_dim=3).axes()
+        batch = transform_batch(shared_perm_autos(rng, n, 4), axes)
+        layouts.append((f"batch-n{n}", batch))
+    return layouts
+
+
+@pytest.mark.parametrize("stack", ["default", "one", "not_dividing"])
+def test_stacked_runs_equal_one_leaf_at_a_time(monkeypatch, stack):
+    from innerorbit import holo
+
+    rng = np.random.default_rng(8000)
+    for name, pts in stack_layouts(rng):
+        n = len(pts.coords)
+        size = max(c.size for c in pts.coords)
+        if stack == "one":
+            monkeypatch.setattr(holo, "_STACK_ELEMENTS", 1)
+        elif stack == "not_dividing":
+            # sub-stacks of 3 leaves on the largest coordinate array; the
+            # runs here are 16 and 17 leaves long
+            monkeypatch.setattr(holo, "_STACK_ELEMENTS", 3 * size + 1)
+        trees = [stage_shaped_product(rng, n)] + [run_product(rng, n) for _ in range(8)]
+        for f in trees:
+            got = f._eval(pts)
+            expected = unstacked_eval(f, pts)
+            assert got.shape == expected.shape, name
+            assert np.array_equal(got, expected), name
+
+
+def test_runs_group_consecutive_leaves_on_one_coordinate():
+    rng = np.random.default_rng(8100)
+    a, b = leaf_run(rng, 2, 1, 3), leaf_run(rng, 2, 2, 2)
+    c = Coordinate(1, 2)
+    f = Product((a[0], a[1], c, a[2], b[0], b[1], a[0], a[1]))
+    kinds = [r if isinstance(r, (Coordinate, BlaschkeFactor)) else (r[0], len(r[1]))
+             for r in f._runs]
+    assert kinds == [(1, 2), c, a[2], (2, 2), (1, 2)]
+    coord, alphas, phases = f._runs[0]
+    assert alphas.tolist() == [a[0].factor.alpha, a[1].factor.alpha]
+    assert phases.tolist() == [a[0].factor.phase, a[1].factor.phase]
+    # the single-point eval path goes through the stack too
+    point = (0.2 + 0.1j, -0.3j)
+    expected = unstacked_eval(f, PointAxes.of_array(np.array([point])))
+    assert f.eval(point) == complex(expected[0])
+
+
+@pytest.mark.parametrize("elements", [None, 1])
+def test_pole_inside_a_stack_names_its_leaf(monkeypatch, elements):
+    from innerorbit import holo
+
+    if elements is not None:
+        monkeypatch.setattr(holo, "_STACK_ELEMENTS", elements)
+    # z = 2 is the pole of the leaf with alpha = 0.5, the third of four
+    leaves = tuple(BlaschkeFactor(MobiusFactor(a, 0.3)) for a in (0.25, -0.1j, 0.5, 0.125))
+    z = PointAxes((np.array([0.0, 0.3j, 2.0 + 0j]),))
+    with pytest.raises(PoleHit, match=r"alpha=\(0\.5\+0j\)"):
+        Product(leaves)._eval(z)

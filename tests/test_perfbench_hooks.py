@@ -70,3 +70,68 @@ def test_tracer_counts_every_index_of_a_batched_sweep(tmp_path):
     assert op["engine.verify_orbit"]["calls"] == 1
     assert op["engine.verify_orbit"]["amount"] == 20
     assert op["automorphisms.sequence_at"]["calls"] == 20
+
+
+def _blaschke_leaves(node):
+    if isinstance(node, holo.BlaschkeFactor):
+        return 1
+    if isinstance(node, holo.Product):
+        return sum(_blaschke_leaves(c) for c in node.children)
+    if isinstance(node, holo.Power):
+        return _blaschke_leaves(node.child)
+    if isinstance(node, holo.Composed):
+        return _blaschke_leaves(node.outer)
+    return 0
+
+
+def test_tracer_counts_stacked_products_like_single_leaves(tmp_path):
+    # a product evaluates a run of same-coordinate leaves in one stacked
+    # call, without the leaves' own _eval; the tracer's counts and spans
+    # must not depend on that
+    spans = _load_spans()
+    original = holo.Product.__dict__["_eval"]
+    tracer = spans.Tracer(cli, engine, automorphisms, holo)
+    outermost = []  # (points, Blaschke leaves) per outermost evaluation
+    depth = [0]
+    recorded = []
+    tracer.install()
+    for cls in (holo.Constant, holo.Coordinate, holo.BlaschkeFactor,
+                holo.Product, holo.Power, holo.Composed):
+        traced = cls.__dict__["_eval"]
+
+        def record(node, pts, traced=traced):
+            if depth[0] == 0:
+                outermost.append((pts.shape[0], _blaschke_leaves(node)))
+            depth[0] += 1
+            try:
+                return traced(node, pts)
+            finally:
+                depth[0] -= 1
+
+        cls._eval = record
+        recorded.append((cls, traced))
+    try:
+        cfg = tmp_path / "n1.ini"
+        cfg.write_text(N1_CONFIG, encoding="utf-8")
+        tracer.begin_op(0)
+        code = cli.run_cli(["--config", str(cfg), "--out", str(tmp_path), "--quiet"])
+        tracer.end_op()
+    finally:
+        for cls, traced in recorded:
+            cls._eval = traced
+        tracer.uninstall()
+    assert code == 0
+    assert holo.Product.__dict__["_eval"] is original
+    # the engine's stage approximants hold runs of 16 leaves
+    assert max(leaves for _, leaves in outermost) >= 16
+    op = tracer.per_op()[0]
+    assert op["holo.factor_evals"]["calls"] == sum(p * n for p, n in outermost)
+    assert op["holo.eval"]["calls"] == len(outermost)
+    by_id = {s.sid: s for s in tracer.spans}
+    for s in tracer.spans:
+        if s.name != "holo.eval":
+            continue
+        parent = s.parent
+        while parent is not None:
+            assert by_id[parent].name != "holo.eval"
+            parent = by_id[parent].parent
