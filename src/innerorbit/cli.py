@@ -20,7 +20,6 @@ import csv
 import io
 import json
 import math
-import re
 import sys
 import time
 from dataclasses import MISSING, dataclass, fields
@@ -31,9 +30,10 @@ import numpy as np
 from . import __version__
 from .automorphisms import ExplicitSequence, GeneratedSequence
 from .dsl import (
-    _Parser,  # autospec shares the DSL tokenizer
     format_complex,
     format_real,
+    parse_autospec,
+    parse_complex,
     parse_function_dsl,
     serialize_function,
 )
@@ -168,50 +168,146 @@ class Report:
 #: default, each parsed with the type of its default
 _ENGINE_FIELDS = tuple(f for f in fields(EngineConfig) if f.default is not MISSING)
 
-#: the keys of each section; [targets] keys are free-form
-_SECTION_KEYS = {
-    "run": ("mode", "dimension", "seed"),
-    "sequence": ("kind", "lambda", "rate", "theta", "perm", "autos"),
-    "probe": ("radius", "points_per_dim"),
-    "engine": tuple(f.name for f in _ENGINE_FIELDS),
-    "diagnostics": ("radii", "angles_per_dim"),
-    "good_inner": ("radii", "quad_points", "clamp", "tolerance"),
-    "verify": ("x", "indices", "k", "random_points"),
-    "output": ("report", "tables"),
+
+def _finite(x):
+    """``x`` once it is finite: a NaN or an infinity has no JSON form in
+    the report."""
+    if not cmath.isfinite(x):
+        raise ValueError(f"must be finite, got {x!r}")
+    return x
+
+
+def _real(text: str) -> float:
+    return _finite(float(text))
+
+
+def _mode(text: str) -> str:
+    if text not in _MODES:
+        raise ValueError(f"must be one of {', '.join(_MODES)}, got {text!r}")
+    return text
+
+
+def _positive(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"must be positive, got {n}")
+    return n
+
+
+def _cycle(item):
+    """Parser of a `|`-separated cycle of comma lists, kept as canonical text."""
+    return lambda text: "|".join(
+        ",".join(item(x) for x in vec.split(",")) for vec in text.split("|")
+    )
+
+
+def _autos(dimension: int):
+    def parse(text: str) -> list:
+        specs = [s.strip() for s in text.split("|")]
+        for spec in specs:
+            try:
+                parse_autospec(spec, dimension)
+            except InnerOrbitError as exc:
+                raise ValueError(f"entry {spec!r}: {exc}") from exc
+        return specs
+    return parse
+
+
+# (parser, formatter) of each value type
+_REAL = (_real, format_real)
+_REALS = (lambda t: [_real(x) for x in t.split(",")],
+          lambda v: ",".join(map(format_real, v)))
+_COMPLEXES = (lambda t: [_finite(parse_complex(x)) for x in t.split(",")],
+              lambda v: ",".join(map(format_complex, v)))
+_INT = (int, str)
+_INTS = (lambda t: [int(x) for x in t.split(",")] if t else [],
+         lambda v: ",".join(map(str, v)))
+_TEXT = (str, str)
+
+
+def _engine_row(default) -> tuple:
+    parse, fmt = _REAL if isinstance(default, float) else _INT
+    return parse, fmt, fmt(default)
+
+
+#: [run] keys; the other sections' defaults may depend on its dimension
+_RUN = {
+    "mode": (_mode, str, None),
+    "dimension": (_positive, str, "1"),
+    "seed": (*_INT, "0"),
 }
 
 
-def _floats(text: str) -> tuple:
-    return tuple(float(x) for x in text.split(","))
+def _schema(dimension: int) -> dict:
+    """Section -> key -> (parser, formatter, default), keys in report order.
+
+    A default is text, so it goes through the parser a user's value goes
+    through; None marks a required key. [sequence] has one such table per
+    kind, and [targets] (free-form keys) has none.
+    """
+    kind = (*_TEXT, "generated")
+    return {
+        "sequence": {
+            "generated": {
+                "kind": kind,
+                "lambda": (*_COMPLEXES, None),
+                "rate": (*_REAL, "1.0"),
+                "theta": (_cycle(lambda x: format_real(_real(x))), str,
+                          ",".join(["0.0"] * dimension)),
+                "perm": (_cycle(lambda x: str(int(x))), str,
+                         ",".join(map(str, range(1, dimension + 1)))),
+            },
+            "explicit": {"kind": kind, "autos": (_autos(dimension), " | ".join, None)},
+        },
+        "probe": {
+            "radius": (*_REAL, "0.3"),
+            "points_per_dim": (*_INT, str(default_points_per_dim(dimension))),
+        },
+        "engine": {f.name: _engine_row(f.default) for f in _ENGINE_FIELDS},
+        "diagnostics": {
+            "radii": (*_REALS, "0.9,0.99,0.999"),
+            "angles_per_dim": (*_INT, "256"),
+        },
+        "good_inner": {
+            "radii": (*_REALS, "0.9,0.99,0.999"),
+            "quad_points": (*_INT, "512"),
+            "clamp": (*_REAL, "40.0"),
+            "tolerance": (*_REAL, "0.02"),
+        },
+        "verify": {
+            "x": (*_TEXT, ""),
+            "k": (*_INT, "0"),
+            "random_points": (*_INT, "0"),
+            "indices": (*_INTS, ""),
+        },
+        "output": {
+            "report": (*_TEXT, "report.json"),
+            "tables": (*_TEXT, "tables"),
+        },
+    }
 
 
-def _finite(section: str, key: str, values):
-    """``values`` (a number or a tuple of numbers) once every number in it
-    is finite: a NaN or an infinity has no JSON form in the report."""
-    for v in values if isinstance(values, tuple) else (values,):
-        if not cmath.isfinite(v):
-            raise ConfigError(f"[{section}] {key} must be finite, got {v!r}")
+def _read(cp, section: str, table: dict, owner: str = "") -> dict:
+    """The values of ``section`` parsed by ``table``; ``owner`` names what
+    accepts the keys in the unknown-key error (default: the section)."""
+    given = cp[section] if cp.has_section(section) else {}
+    inherited = set(cp.defaults())
+    for key in given:
+        if key not in table and key not in inherited:
+            raise ConfigError(
+                f"unknown key {key!r} in [{section}]; {owner or f'[{section}]'} "
+                "accepts " + ", ".join(table)
+            )
+    values = {}
+    for key, (parse, _, default) in table.items():
+        text = given.get(key, default)
+        if text is None:
+            raise ConfigError(f"[{section}] {key} is required")
+        try:
+            values[key] = parse(text.strip())
+        except (ValueError, InnerOrbitError) as exc:
+            raise ConfigError(f"[{section}] {key} {exc}") from exc
     return values
-
-
-def _complexes(text: str) -> tuple:
-    out = []
-    for part in text.split(","):
-        out.append(_parse_complex_literal(part.strip()))
-    return tuple(out)
-
-
-_COMPLEX_RE = re.compile(
-    r"\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"\s*([+-])\s*((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i\s*"
-)
-
-
-def _parse_complex_literal(text: str) -> complex:
-    m = _COMPLEX_RE.fullmatch(text)
-    if m is None:
-        raise ConfigError(f"bad complex literal {text!r}")
-    return complex(float(m.group(1)), float(m.group(2) + m.group(3)))
 
 
 def load_config(path: Path, mode_override=None, seed_override=None) -> RunConfig:
@@ -222,85 +318,25 @@ def load_config(path: Path, mode_override=None, seed_override=None) -> RunConfig
         cp.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"unparseable config: {exc}") from exc
-    inherited = set(cp.defaults())
-    for section, known in _SECTION_KEYS.items():
-        if not cp.has_section(section):
-            continue
-        for key in cp.options(section):
-            if key not in known and key not in inherited:
-                raise ConfigError(
-                    f"unknown key {key!r} in [{section}]; [{section}] accepts "
-                    + ", ".join(known)
-                )
+    overrides = {"mode": mode_override, "seed": seed_override}
+    cp.read_dict({"run": {k: str(v) for k, v in overrides.items() if v is not None}})
+    run = _read(cp, "run", _RUN)
+    schema = _schema(run["dimension"])
+    known = ("run", "targets", *schema)
+    for section in cp.sections():
+        if section not in known:
+            raise ConfigError(f"unknown section [{section}]; the sections are "
+                              + ", ".join(f"[{s}]" for s in known))
 
-    def get(section, key, default=None):
-        if cp.has_option(section, key):
-            return cp.get(section, key).strip()
-        return default
-
-    mode = mode_override or get("run", "mode")
-    if mode not in _MODES:
-        raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
-    try:
-        return _load_config_body(cp, get, mode, seed_override)
-    except ValueError as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
-
-
-def _load_config_body(cp, get, mode, seed_override) -> RunConfig:
-    def real(section, key, default):
-        return _finite(section, key, float(get(section, key, default)))
-
-    def reals(section, key, default):
-        return list(_finite(section, key, _floats(get(section, key, default))))
-
-    dimension = int(get("run", "dimension", "1"))
-    seed = int(seed_override if seed_override is not None
-               else get("run", "seed", "0"))
-    if dimension < 1:
-        raise ConfigError("dimension must be positive")
-
-    # ---- sequence ----
     sequence: dict = {}
     if cp.has_section("sequence"):
-        kind = get("sequence", "kind", "generated")
-        if kind == "generated":
-            lam_text = get("sequence", "lambda")
-            if lam_text is None:
-                raise ConfigError("[sequence] lambda is required")
-            direction = _finite("sequence", "lambda", _complexes(lam_text))
-            rate = real("sequence", "rate", "1.0")
-            theta_text = get("sequence", "theta",
-                             ",".join(["0.0"] * dimension))
-            perm_text = get("sequence", "perm",
-                            ",".join(str(i) for i in range(1, dimension + 1)))
-            theta_cycle = tuple(
-                _finite("sequence", "theta", _floats(v)) for v in theta_text.split("|")
-            )
-            perm_cycle = tuple(
-                tuple(int(x) for x in v.split(",")) for v in perm_text.split("|")
-            )
-            sequence = {
-                "kind": "generated",
-                "lambda": [format_complex(d) for d in direction],
-                "rate": rate,
-                "theta": "|".join(
-                    ",".join(format_real(t) for t in vec) for vec in theta_cycle
-                ),
-                "perm": "|".join(
-                    ",".join(str(p) for p in perm) for perm in perm_cycle
-                ),
-            }
-        elif kind == "explicit":
-            autos_text = get("sequence", "autos")
-            if autos_text is None:
-                raise ConfigError("[sequence] autos is required")
-            specs = [s.strip() for s in autos_text.split("|")]
-            sequence = {"kind": "explicit", "autos": specs}
-        else:
-            raise ConfigError(f"unknown sequence kind {kind!r}")
+        kinds = schema["sequence"]
+        kind = cp.get("sequence", "kind", fallback="generated").strip()
+        if kind not in kinds:
+            raise ConfigError(f"unknown sequence kind {kind!r}; [sequence] kind "
+                              "is " + " or ".join(kinds))
+        sequence = _read(cp, "sequence", kinds[kind], f"[sequence] kind = {kind}")
 
-    # ---- targets ----
     targets: list = []
     if cp.has_section("targets"):
         keys = sorted(cp.options("targets"),
@@ -308,66 +344,16 @@ def _load_config_body(cp, get, mode, seed_override) -> RunConfig:
         for key in keys:
             text = cp.get("targets", key).strip()
             try:
-                tree = parse_function_dsl(text, dimension)
+                tree = parse_function_dsl(text, run["dimension"])
             except InnerOrbitError as exc:
                 raise ConfigError(f"target {key!r}: {exc}") from exc
             targets.append(serialize_function(tree))
 
-    # ---- probe ----
-    probe = {
-        "radius": real("probe", "radius", "0.3"),
-        "points_per_dim": int(
-            get("probe", "points_per_dim", str(default_points_per_dim(dimension)))
-        ),
-    }
-
-    # ---- engine ----
-    engine = {}
-    for f in _ENGINE_FIELDS:
-        raw = get("engine", f.name)
-        engine[f.name] = (
-            f.default if raw is None
-            else _finite("engine", f.name, type(f.default)(raw))
-        )
-
-    diagnostics = {
-        "radii": reals("diagnostics", "radii", "0.9,0.99,0.999"),
-        "angles_per_dim": int(get("diagnostics", "angles_per_dim", "256")),
-    }
-    good_inner = {
-        "radii": reals("good_inner", "radii", "0.9,0.99,0.999"),
-        "quad_points": int(get("good_inner", "quad_points", "512")),
-        "clamp": real("good_inner", "clamp", "40.0"),
-        "tolerance": real("good_inner", "tolerance", "0.02"),
-    }
-
-    verify: dict = {
-        "x": get("verify", "x", ""),
-        "k": int(get("verify", "k", "0")),
-        "random_points": int(get("verify", "random_points", "0")),
-    }
-    indices_text = get("verify", "indices", "")
-    verify["indices"] = (
-        [int(v) for v in indices_text.split(",")] if indices_text else []
-    )
-
-    output = {
-        "report": get("output", "report", "report.json"),
-        "tables": get("output", "tables", "tables"),
-    }
-
     cfg = RunConfig(
-        mode=mode,
-        dimension=dimension,
-        seed=seed,
+        **run,
         sequence=sequence,
         targets=tuple(targets),
-        probe=probe,
-        engine=engine,
-        diagnostics=diagnostics,
-        good_inner=good_inner,
-        verify=verify,
-        output=output,
+        **{s: _read(cp, s, table) for s, table in schema.items() if s != "sequence"},
     )
     _validate_config(cfg)
     return cfg
@@ -389,66 +375,19 @@ def _validate_config(cfg: RunConfig) -> None:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical INI text; parsing it back reproduces cfg exactly."""
-    lines = ["[run]", f"mode = {cfg.mode}", f"dimension = {cfg.dimension}",
-             f"seed = {cfg.seed}", ""]
-    if cfg.sequence:
-        lines.append("[sequence]")
-        lines.append(f"kind = {cfg.sequence['kind']}")
-        if cfg.sequence["kind"] == "generated":
-            lines.append(f"lambda = {','.join(cfg.sequence['lambda'])}")
-            lines.append(f"rate = {format_real(cfg.sequence['rate'])}")
-            lines.append(f"theta = {cfg.sequence['theta']}")
-            lines.append(f"perm = {cfg.sequence['perm']}")
+    schema = {"run": _RUN, **_schema(cfg.dimension)}
+    lines = []
+    for section, values in cfg.canonical_dict().items():
+        if not values:  # no [sequence] or no [targets]
+            continue
+        if section == "targets":
+            body = [f"f{i} = {expr}" for i, expr in enumerate(values, start=1)]
         else:
-            lines.append(f"autos = {' | '.join(cfg.sequence['autos'])}")
-        lines.append("")
-    if cfg.targets:
-        lines.append("[targets]")
-        for i, expr in enumerate(cfg.targets, start=1):
-            lines.append(f"f{i} = {expr}")
-        lines.append("")
-    lines.append("[probe]")
-    lines.append(f"radius = {format_real(cfg.probe['radius'])}")
-    lines.append(f"points_per_dim = {cfg.probe['points_per_dim']}")
-    lines.append("")
-    lines.append("[engine]")
-    for f in _ENGINE_FIELDS:
-        value = cfg.engine[f.name]
-        text = format_real(value) if isinstance(f.default, float) else str(value)
-        lines.append(f"{f.name} = {text}")
-    lines.append("")
-    lines.append("[diagnostics]")
-    lines.append(
-        "radii = " + ",".join(format_real(r) for r in cfg.diagnostics["radii"])
-    )
-    lines.append(f"angles_per_dim = {cfg.diagnostics['angles_per_dim']}")
-    lines.append("")
-    lines.append("[good_inner]")
-    lines.append(
-        "radii = " + ",".join(format_real(r) for r in cfg.good_inner["radii"])
-    )
-    lines.append(f"quad_points = {cfg.good_inner['quad_points']}")
-    lines.append(f"clamp = {format_real(cfg.good_inner['clamp'])}")
-    lines.append(f"tolerance = {format_real(cfg.good_inner['tolerance'])}")
-    lines.append("")
-    if any((cfg.verify["x"], cfg.verify["indices"], cfg.verify["k"],
-            cfg.verify["random_points"])):
-        lines.append("[verify]")
-        if cfg.verify["x"]:
-            lines.append(f"x = {cfg.verify['x']}")
-        if cfg.verify["indices"]:
-            lines.append(
-                "indices = " + ",".join(str(i) for i in cfg.verify["indices"])
-            )
-        if cfg.verify["k"]:
-            lines.append(f"k = {cfg.verify['k']}")
-        if cfg.verify["random_points"]:
-            lines.append(f"random_points = {cfg.verify['random_points']}")
-        lines.append("")
-    lines.append("[output]")
-    lines.append(f"report = {cfg.output['report']}")
-    lines.append(f"tables = {cfg.output['tables']}")
-    lines.append("")
+            table = schema[section]
+            if section == "sequence":
+                table = table[values["kind"]]
+            body = [f"{key} = {table[key][1](v)}" for key, v in values.items()]
+        lines += [f"[{section}]", *body, ""]
     return "\n".join(lines)
 
 
@@ -458,20 +397,11 @@ def serialize_config(cfg: RunConfig) -> str:
 def build_sequence(cfg: RunConfig):
     spec = cfg.sequence
     if spec["kind"] == "generated":
-        direction = tuple(_parse_complex_literal(t) for t in spec["lambda"])
-        theta_cycle = tuple(_floats(v) for v in spec["theta"].split("|"))
-        perm_cycle = tuple(
-            tuple(int(x) - 1 for x in v.split(","))
-            for v in spec["perm"].split("|")
-        )
-        return GeneratedSequence(direction, spec["rate"], theta_cycle, perm_cycle)
-    autos = []
-    for text in spec["autos"]:
-        parser = _Parser(text, cfg.dimension)
-        autos.append(parser.parse_autospec())
-        if parser.peek().kind != "eof":
-            raise ConfigError(f"trailing input in autospec {text!r}")
-    return ExplicitSequence(autos)
+        theta_cycle = [vec.split(",") for vec in spec["theta"].split("|")]
+        perm_cycle = [[int(x) - 1 for x in vec.split(",")]
+                      for vec in spec["perm"].split("|")]
+        return GeneratedSequence(spec["lambda"], spec["rate"], theta_cycle, perm_cycle)
+    return ExplicitSequence([parse_autospec(t, cfg.dimension) for t in spec["autos"]])
 
 
 def build_targets(cfg: RunConfig):

@@ -249,17 +249,32 @@ class _Parser:
             ) from exc
 
 
+def _parse_whole(text: str, dimension: int, rule):
+    """``rule`` applied to all of ``text``; input left over is a ParseError."""
+    parser = _Parser(text, dimension)
+    node = rule(parser)
+    tok = parser.peek()
+    if tok.kind != "eof":
+        parser.fail(f"trailing input {tok.text!r}")
+    return node
+
+
 def parse_function_dsl(text: str, dimension: int) -> HoloFunction:
     """Parse one expression; raises ParseError with position on syntax
     errors and ValidityError on constraint violations."""
     if dimension < 1:
         raise ValidityError("dimension must be positive")
-    parser = _Parser(text, dimension)
-    node = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        parser.fail(f"trailing input {tok.text!r}")
-    return node
+    return _parse_whole(text, dimension, _Parser.parse_expr)
+
+
+def parse_autospec(text: str, dimension: int) -> PolydiskAutomorphism:
+    """Parse one ``auto{...}`` literal, with the errors of parse_function_dsl."""
+    return _parse_whole(text, dimension, _Parser.parse_autospec)
+
+
+def parse_complex(text: str) -> complex:
+    """Parse one COMPLEX literal such as ``-0.6-0.8i``; ParseError otherwise."""
+    return _parse_whole(text, 1, _Parser.parse_complex)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import importlib.util
 import json
 import math
 import os
+import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,8 @@ import innerorbit
 
 from innerorbit import EngineConfig
 from innerorbit.cli import (
+    _RUN,
+    _schema,
     load_config,
     render_document,
     run_cli,
@@ -370,6 +374,19 @@ def test_unknown_key_exits_one(tmp_path, capsys):
         load_config(_write(tmp_path, "p.ini", N1_CONFIG.replace("radius", "radious")))
 
 
+def test_unknown_section_exits_one(tmp_path, capsys):
+    text = N1_CONFIG.replace("[engine]", "[engnie]")
+    cfg_path = _write(tmp_path, "typo.ini", text)
+    assert run_cli(["--config", str(cfg_path), "--quiet"]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith("unknown section [engnie]; the sections are")
+    assert "[engine]" in error["message"] and "[targets]" in error["message"]
+    # configparser's [DEFAULT] is not a section of its own
+    plain = load_config(_write(tmp_path, "n1.ini", N1_CONFIG))
+    assert load_config(_write(tmp_path, "d.ini", "[DEFAULT]\n" + N1_CONFIG)) == plain
+
+
 def test_target_keys_are_free_form(tmp_path):
     text = N1_CONFIG.replace("f2 = z[1]", "second = z[1]")
     cfg = load_config(_write(tmp_path, "t.ini", text))
@@ -396,8 +413,26 @@ def test_shipped_and_benchmark_configs_load(tmp_path, monkeypatch):
                        (2, ["z[1]", w._blaschke_n2(inputs.zeros_n2[0])])):
         for mode in ("good-inner", "diagnose-inner"):
             texts.append(w.diagnostics_config(mode, inputs, n, targets))
+    texts.append(VERIFY_EXPLICIT + "indices = 2,1,2\nrandom_points = 3\n")
     for i, text in enumerate(texts):
-        load_config(_write(tmp_path, f"c{i}.ini", text))
+        cfg = load_config(_write(tmp_path, f"c{i}.ini", text))
+        canonical = serialize_config(cfg)
+        again = load_config(_write(tmp_path, f"c{i}_canonical.ini", canonical))
+        assert again == cfg
+        assert serialize_config(again) == canonical
+
+
+def test_every_config_key_is_documented():
+    docs = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text(
+        encoding="utf-8"
+    )
+    # heading -> text up to the next heading of any level
+    blocks = dict(b.partition("\n")[::2] for b in re.split(r"^#+ ", docs, flags=re.M))
+    for section, table in {"run": _RUN, **_schema(1)}.items():
+        (body,) = [b for h, b in blocks.items() if h.startswith(f"`[{section}]`")]
+        keys = table if section != "sequence" else [k for t in table.values() for k in t]
+        for key in keys:
+            assert f"`{key}`" in body, (section, key)
 
 
 # ---------------------------------------------------------------------------
@@ -438,3 +473,63 @@ def test_orbit_index_outside_the_sequence_exits_two(tmp_path, text, indices, mes
     assert run_cli(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == 2
     failure = json.loads((out / "report.json").read_text())["results"]["failure"]
     assert failure == {"error": "ValidityError", "message": message}
+
+
+# ---------------------------------------------------------------------------
+# [sequence] keys and literals
+
+
+@pytest.mark.parametrize("text,key,kind,accepted", [
+    (VERIFY_EXPLICIT.replace("kind = explicit", "kind = explicit\nlambda = 1+0i\nrate = 0.5")
+     + "k = 2\n", "lambda", "explicit", "kind, autos"),
+    (N1_CONFIG.replace("perm = 1", "perm = 1\nautos = garbage"), "autos", "generated",
+     "kind, lambda, rate, theta, perm"),
+])
+def test_sequence_key_of_the_other_kind_exits_one(tmp_path, capsys, text, key, kind,
+                                                  accepted):
+    cfg_path = _write(tmp_path, "seq.ini", text)
+    assert run_cli(["--config", str(cfg_path), "--quiet"]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"] == (
+        f"unknown key {key!r} in [sequence]; [sequence] kind = {kind} accepts {accepted}"
+    )
+
+
+SECOND_AUTO = "auto{p=[1], a=[0.9+0i], t=[0.0]}"
+
+
+@pytest.mark.parametrize("text,entry", [
+    (VERIFY_EXPLICIT + "k = 2\n", SECOND_AUTO + " z[1]"),
+    (VERIFY_EXPLICIT + "k = 2\n", "auto{p=[1] a=[0.9+0i], t=[0.0]}"),
+    # diagnose-inner never builds the sequence, so only the loader sees it
+    (GOOD_INNER_CONFIG.replace("good-inner", "diagnose-inner")
+     + "\n[sequence]\nkind = explicit\nautos = " + SECOND_AUTO + "\n",
+     "auto{p=[1], a=[1.5+0i], t=[0.0]}"),
+], ids=["trailing-input", "syntax-error", "alpha-outside-disk"])
+def test_bad_autos_entry_exits_one(tmp_path, capsys, text, entry):
+    assert SECOND_AUTO in text
+    cfg_path = _write(tmp_path, "autos.ini", text.replace(SECOND_AUTO, entry))
+    out = tmp_path / "out"
+    assert run_cli(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith(f"[sequence] autos entry {entry!r}: ")
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("literal,real,imag", [
+    ("1+0i", "1", "0"),
+    ("-0.6-0.8i", "-0.6", "-0.8"),
+    ("+1e0-0e0i", "+1e0", "-0e0"),
+    (".6+.8i", ".6", ".8"),
+    ("-1-0i", "-1", "-0"),
+    ("0.28000000000000003+0.96i", "0.28000000000000003", "0.96"),
+])
+def test_lambda_literal_values_are_bitwise_exact(tmp_path, literal, real, imag):
+    text = N1_CONFIG.replace("lambda = 1+0i", f"lambda = {literal}")
+    (z,) = load_config(_write(tmp_path, "lam.ini", text)).sequence["lambda"]
+    expected = complex(float(real), float(imag))
+    assert struct.pack("<dd", z.real, z.imag) == struct.pack(
+        "<dd", expected.real, expected.imag
+    )
