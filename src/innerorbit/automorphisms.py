@@ -129,6 +129,22 @@ def mobius_compose(outer: MobiusFactor, inner: MobiusFactor) -> MobiusFactor:
     return MobiusFactor(alpha=z0, theta=cmath.phase(u))
 
 
+def check_direction(direction) -> tuple:
+    """``direction`` as complex numbers, once each is unimodular."""
+    direction = tuple(complex(d) for d in direction)
+    for d in direction:
+        if abs(abs(d) - 1.0) > 1e-12:
+            raise ValidityError("direction coordinates must be unimodular")
+    return direction
+
+
+def check_rate(rate: float) -> float:
+    """``rate`` once it lies in (0, 1]."""
+    if not 0.0 < rate <= 1.0:
+        raise ValidityError(f"rate {rate} not in (0, 1]")
+    return rate
+
+
 def _check_perm(perm: tuple, n: int) -> None:
     if sorted(perm) != list(range(n)):
         raise ValidityError(f"{perm} is not a permutation of 0..{n - 1}")
@@ -286,12 +302,8 @@ class GeneratedSequence:
     """
 
     def __init__(self, direction, rate, theta_cycle, perm_cycle):
-        direction = tuple(complex(d) for d in direction)
-        for d in direction:
-            if abs(abs(d) - 1.0) > 1e-12:
-                raise ValidityError("direction coordinates must be unimodular")
-        if not 0.0 < rate <= 1.0:
-            raise ValidityError(f"rate {rate} not in (0, 1]")
+        direction = check_direction(direction)
+        check_rate(rate)
         n = len(direction)
         theta_cycle = tuple(tuple(float(t) for t in vec) for vec in theta_cycle)
         perm_cycle = tuple(tuple(int(p) for p in perm) for perm in perm_cycle)

@@ -28,7 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .automorphisms import ExplicitSequence, GeneratedSequence
+from .automorphisms import (
+    ExplicitSequence,
+    GeneratedSequence,
+    check_direction,
+    check_rate,
+)
 from .dsl import (
     format_complex,
     format_real,
@@ -194,11 +199,37 @@ def _positive(text: str) -> int:
     return n
 
 
-def _cycle(item):
-    """Parser of a `|`-separated cycle of comma lists, kept as canonical text."""
-    return lambda text: "|".join(
-        ",".join(item(x) for x in vec.split(",")) for vec in text.split("|")
-    )
+def _cycle(item, n: int, check=lambda vec: None):
+    """Parser of a `|`-separated cycle of comma lists of ``n`` entries,
+    each entry canonicalized by ``item`` and each list passed to ``check``;
+    kept as canonical text."""
+    def parse(text: str) -> str:
+        vecs = []
+        for vec in text.split("|"):
+            entries = vec.split(",")
+            if len(entries) != n:
+                raise ValueError(f"needs {n} entries per list, got {vec!r}")
+            vecs.append([item(x) for x in entries])
+            check(vecs[-1])
+        return "|".join(",".join(vec) for vec in vecs)
+    return parse
+
+
+def _permutation(n: int):
+    def check(vec):
+        if sorted(map(int, vec)) != list(range(1, n + 1)):
+            raise ValueError(f"{','.join(vec)!r} is not a permutation of 1..{n}")
+    return check
+
+
+def _direction(n: int):
+    def parse(text: str) -> list:
+        values = [_finite(parse_complex(x)) for x in text.split(",")]
+        if len(values) != n:
+            raise ValueError(f"needs {n} values, got {len(values)}")
+        check_direction(values)
+        return values
+    return parse
 
 
 def _autos(dimension: int):
@@ -217,8 +248,6 @@ def _autos(dimension: int):
 _REAL = (_real, format_real)
 _REALS = (lambda t: [_real(x) for x in t.split(",")],
           lambda v: ",".join(map(format_real, v)))
-_COMPLEXES = (lambda t: [_finite(parse_complex(x)) for x in t.split(",")],
-              lambda v: ",".join(map(format_complex, v)))
 _INT = (int, str)
 _INTS = (lambda t: [int(x) for x in t.split(",")] if t else [],
          lambda v: ",".join(map(str, v)))
@@ -250,11 +279,13 @@ def _schema(dimension: int) -> dict:
         "sequence": {
             "generated": {
                 "kind": kind,
-                "lambda": (*_COMPLEXES, None),
-                "rate": (*_REAL, "1.0"),
-                "theta": (_cycle(lambda x: format_real(_real(x))), str,
+                "lambda": (_direction(dimension),
+                           lambda v: ",".join(map(format_complex, v)), None),
+                "rate": (lambda t: check_rate(_real(t)), format_real, "1.0"),
+                "theta": (_cycle(lambda x: format_real(_real(x)), dimension), str,
                           ",".join(["0.0"] * dimension)),
-                "perm": (_cycle(lambda x: str(int(x))), str,
+                "perm": (_cycle(lambda x: str(int(x)), dimension,
+                                _permutation(dimension)), str,
                          ",".join(map(str, range(1, dimension + 1)))),
             },
             "explicit": {"kind": kind, "autos": (_autos(dimension), " | ".join, None)},
@@ -343,6 +374,10 @@ def load_config(path: Path, mode_override=None, seed_override=None) -> RunConfig
                       key=lambda k: (len(k), k))
         for key in keys:
             text = cp.get("targets", key).strip()
+            # true only for a key written under [targets], not for one
+            # that [DEFAULT] lends every section
+            if not cp.remove_option("targets", key):
+                continue
             try:
                 tree = parse_function_dsl(text, run["dimension"])
             except InnerOrbitError as exc:

@@ -71,6 +71,10 @@ _MAX_CORRECTOR_INDEX = 48
 #: 16 384 about 2 MiB for roughly 10 % less time per op
 _BATCH_POINTS = 12_288
 
+#: margin, in log(k + 1), by which a stage-index jump passes the crossing its
+#: power-law fit predicts, so that the jump lands admissible and brackets
+_JUMP_OVERSHOOT = 0.1
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -247,9 +251,31 @@ def choose_stage_index(
     conditions measured on the probe grid ``axes``; returns (index, the
     per-factor condition a values, condition b) at that index.
 
-    Both conditions contract as the parameters approach the boundary, so the
-    search doubles a step until an admissible index appears, then bisects
-    back to the first admissible one (exact smallest under monotonicity).
+    Both conditions contract as the parameters approach the boundary, close
+    to a power law in k + 1, so the search predicts where the larger of
+    them meets the tolerance instead of walking there. Values are fitted as
+    (log(k + 1), log(value / tolerance)):
+
+      - bracketing takes doubling steps from the first member, as a plain
+        doubling search does, and before each tries a jump to where the
+        secant through the two latest inadmissible steps meets the
+        tolerance, a little beyond: never short of the doubling step, never
+        past ``k_max`` (a secant that does not fall jumps to the last
+        member up to it). An admissible jump closes the bracket; an
+        inadmissible one, or one ``seq.at`` cannot represent
+        (``ValidityError``), leaves the doubling steps to go on;
+      - refinement is Illinois regula falsi between the bracket's ends,
+        with a bisection step after any regula falsi step that did not
+        halve the bracket's log width, and wherever a value is zero or
+        not finite.
+
+    It stops where bisection stops: the upper end admissible and no member
+    strictly between the ends. So the index is the smallest admissible
+    member whenever admissibility is monotone along the members, and
+    otherwise an admissible member whose preceding member is not.
+    ``SequenceExhausted`` is raised only where the doubling steps and the
+    last member up to ``k_max`` are all inadmissible. Each probe is one
+    ``stage_condition_values`` call, and no index is probed twice.
     """
     seq = selection.sequence
     tol = delta * math.ldexp(1.0, -j)
@@ -257,12 +283,31 @@ def choose_stage_index(
     probed = {}
 
     def admissible(k: int) -> bool:
-        conds, b = stage_condition_values(seq, axes, factors, projected, k)
-        probed[k] = (k, conds, b)
-        a = max((0.0, *conds))
-        if max(a, b) < max(best["condition_a"], best["condition_b"]):
-            best.update({"index": k, "condition_a": a, "condition_b": b})
-        return a <= tol and b <= tol
+        if k not in probed:
+            conds, b = stage_condition_values(seq, axes, factors, projected, k)
+            probed[k] = (k, conds, b)
+            a = max((0.0, *conds))
+            if max(a, b) < max(best["condition_a"], best["condition_b"]):
+                best.update({"index": k, "condition_a": a, "condition_b": b})
+        _, conds, b = probed[k]
+        return max((0.0, *conds)) <= tol and b <= tol
+
+    def level(k: int):
+        # log(value / tol) of a probed index, None where no power law
+        # passes through its value (zero or not finite)
+        _, conds, b = probed[k]
+        values = (*conds, b)
+        if not all(map(math.isfinite, values)) or max(values) <= 0.0:
+            return None
+        return math.log(max(values) / tol)
+
+    def last_member(top: int, bottom: int):
+        # largest member in (bottom, top]; schedules cycle with short
+        # periods, so a short backward scan suffices
+        for k in range(top, max(bottom, top - 64), -1):
+            if selection.contains(k):
+                return k
+        return None
 
     start = selection.next_member(floor + 1)
     if start is None or start > k_max:
@@ -270,23 +315,30 @@ def choose_stage_index(
     if admissible(start):
         return probed[start]
 
-    def last_member_at_or_below(top: int):
-        # schedules cycle with short periods, so a short backward scan
-        # suffices to find the largest member under the cap
-        for k in range(top, max(lo, top - 64), -1):
-            if selection.contains(k):
-                return k
-        return None
-
-    lo = start  # largest known inadmissible member
+    lo, below, hi = start, None, None  # below: the inadmissible probe before lo
     step = 1
-    hi = None
     while hi is None:
         step *= 2
-        candidate = selection.next_member(start + step)
+        doubling = start + step
+        jump = None if below is None else _crossing_jump(
+            below, level(below), lo, level(lo), k_max)
+        if jump is not None and jump > doubling:
+            try:
+                candidate = selection.next_member(jump)
+                if candidate is None or candidate > k_max:
+                    candidate = last_member(k_max, lo)
+            except ValidityError:
+                candidate = None
+            # an inadmissible jump moves no end: where admissibility
+            # oscillates along the members, an admissible member may still
+            # lie below it, so the doubling steps go on
+            if candidate is not None and admissible(candidate):
+                hi = candidate
+                break
+        candidate = selection.next_member(doubling)
         if candidate is None or candidate > k_max:
-            final = last_member_at_or_below(k_max)
-            if final is not None and final > lo and admissible(final):
+            final = last_member(k_max, lo)
+            if final is not None and admissible(final):
                 hi = final
                 break
             raise SequenceExhausted(
@@ -297,19 +349,55 @@ def choose_stage_index(
         if admissible(candidate):
             hi = candidate
         else:
-            lo = candidate
+            below, lo = lo, candidate
 
+    w_lo = w_hi = 1.0  # Illinois weights of the ends' levels
+    moved = None  # the end the previous step replaced
+    bisect = False
     while True:
-        mid = lo + (hi - lo) // 2
-        if mid <= lo:
+        first = selection.next_member(lo + 1)
+        if first is None or first >= hi:
             return probed[hi]
-        member = selection.next_member(mid)
-        if member is None or member >= hi:
-            return probed[hi]
-        if admissible(member):
-            hi = member
+        x_lo, x_hi = math.log(lo + 1.0), math.log(hi + 1.0)
+        y_lo, y_hi = level(lo), level(hi)
+        falsi = not bisect and y_lo is not None and y_hi is not None
+        if falsi:
+            y_lo, y_hi = w_lo * y_lo, w_hi * y_hi
+            x = x_lo + (x_hi - x_lo) * y_lo / (y_lo - y_hi)
+            target = math.ceil(math.exp(x) - 1.0)
         else:
-            lo = member
+            target = lo + (hi - lo) // 2
+        member = selection.next_member(max(target, first))
+        if member is None or member >= hi:
+            member = last_member(hi - 1, lo) or first
+        # an end kept by two steps in a row has its level halved
+        if admissible(member):
+            hi, w_hi = member, 1.0
+            if moved == "hi":
+                w_lo *= 0.5
+            moved = "hi"
+        else:
+            lo, w_lo = member, 1.0
+            if moved == "lo":
+                w_hi *= 0.5
+            moved = "lo"
+        bisect = falsi and math.log((hi + 1.0) / (lo + 1.0)) > 0.5 * (x_hi - x_lo)
+
+
+def _crossing_jump(k0: int, y0, k1: int, y1, k_max: int):
+    """Index a little past where the power law through the levels ``y0``
+    at ``k0`` and ``y1`` at ``k1 > k0`` reaches level 0, at most ``k_max``;
+    ``k_max`` when it does not fall, None when a level is None."""
+    if y0 is None or y1 is None:
+        return None
+    x1 = math.log(k1 + 1.0)
+    slope = (y1 - y0) / (x1 - math.log(k0 + 1.0))
+    if slope >= 0.0:
+        return k_max
+    x = x1 - y1 / slope + _JUMP_OVERSHOOT
+    if x >= math.log(k_max + 1.0):
+        return k_max
+    return math.ceil(math.exp(x) - 1.0)
 
 
 # ---------------------------------------------------------------------------

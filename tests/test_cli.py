@@ -533,3 +533,45 @@ def test_lambda_literal_values_are_bitwise_exact(tmp_path, literal, real, imag):
     assert struct.pack("<dd", z.real, z.imag) == struct.pack(
         "<dd", expected.real, expected.imag
     )
+
+
+def test_default_section_lends_no_targets(tmp_path):
+    # configparser lends [DEFAULT] keys to every section, [targets] too;
+    # only the keys written under [targets] are targets
+    root = Path(__file__).resolve().parents[1]
+    shipped = (root / "configs" / "universal_n1.ini").read_text(encoding="utf-8")
+    text = "[DEFAULT]\nradius = 0.3\nf2 = z[1]^2\nf3 = z[1]^3\n\n" + shipped
+    cfg = load_config(_write(tmp_path, "d.ini", text))
+    assert cfg.targets == ("const 0.5+0i", "z[1]")
+    assert cfg == load_config(_write(tmp_path, "plain.ini", shipped))
+    assert load_config(_write(tmp_path, "s.ini", serialize_config(cfg))) == cfg
+
+
+GENERATED_N1 = "[sequence]\nkind = generated\nlambda = 1+0i\nrate = 1.0\ntheta = 0.0\nperm = 1\n"
+
+
+@pytest.mark.parametrize("key,old,new,message", [
+    ("lambda", "lambda = 1+0i", "lambda = 0.5+0i", "direction coordinates must be unimodular"),
+    ("lambda", "lambda = 1+0i", "lambda = 1+0i,1+0i", "needs 1 values, got 2"),
+    ("rate", "rate = 1.0", "rate = 7", "rate 7.0 not in (0, 1]"),
+    ("rate", "rate = 1.0", "rate = 0", "rate 0.0 not in (0, 1]"),
+    ("theta", "theta = 0.0", "theta = 0.0|0.1,0.2", "needs 1 entries per list, got '0.1,0.2'"),
+    ("perm", "perm = 1", "perm = 2", "'2' is not a permutation of 1..1"),
+])
+@pytest.mark.parametrize("mode", ["good-inner", "diagnose-inner", "construct-universal",
+                                  "verify-orbit"])
+def test_bad_generated_sequence_exits_one_in_every_mode(tmp_path, capsys, mode, key, old,
+                                                        new, message):
+    # good-inner and diagnose-inner never build the sequence, so only the
+    # loader sees it
+    assert old in GENERATED_N1
+    text = (GOOD_INNER_CONFIG.replace("good-inner", mode)
+            + "\n" + GENERATED_N1.replace(old, new)
+            + "\n[verify]\nx = z[1]\nk = 2\n")
+    cfg_path = _write(tmp_path, "seq.ini", text)
+    out = tmp_path / "out"
+    assert run_cli(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"] == f"[sequence] {key} {message}"
+    assert not (out / "report.json").exists()
