@@ -22,7 +22,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +126,8 @@ class RunConfig:
     good_inner: dict
     verify: dict
     output: dict
+    #: the parsed ``targets``; a run parses each target once, while loading
+    functions: tuple = field(default=(), repr=False, compare=False)
 
     def canonical_dict(self) -> dict:
         return {
@@ -368,7 +370,7 @@ def load_config(path: Path, mode_override=None, seed_override=None) -> RunConfig
                               "is " + " or ".join(kinds))
         sequence = _read(cp, "sequence", kinds[kind], f"[sequence] kind = {kind}")
 
-    targets: list = []
+    functions: list = []
     if cp.has_section("targets"):
         keys = sorted(cp.options("targets"),
                       key=lambda k: (len(k), k))
@@ -379,15 +381,15 @@ def load_config(path: Path, mode_override=None, seed_override=None) -> RunConfig
             if not cp.remove_option("targets", key):
                 continue
             try:
-                tree = parse_function_dsl(text, run["dimension"])
+                functions.append(parse_function_dsl(text, run["dimension"]))
             except InnerOrbitError as exc:
                 raise ConfigError(f"target {key!r}: {exc}") from exc
-            targets.append(serialize_function(tree))
 
     cfg = RunConfig(
         **run,
         sequence=sequence,
-        targets=tuple(targets),
+        targets=tuple(map(serialize_function, functions)),
+        functions=tuple(functions),
         **{s: _read(cp, s, table) for s, table in schema.items() if s != "sequence"},
     )
     _validate_config(cfg)
@@ -440,7 +442,7 @@ def build_sequence(cfg: RunConfig):
 
 
 def build_targets(cfg: RunConfig):
-    return tuple(parse_function_dsl(t, cfg.dimension) for t in cfg.targets)
+    return cfg.functions
 
 
 def build_probe(cfg: RunConfig) -> CompactProbe:

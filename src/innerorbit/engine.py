@@ -348,7 +348,7 @@ def choose_stage_index(
             )
         if admissible(candidate):
             hi = candidate
-        else:
+        elif candidate != lo:  # sparse members: a doubling step can land on lo
             below, lo = lo, candidate
 
     w_lo = w_hi = 1.0  # Illinois weights of the ends' levels

@@ -51,7 +51,7 @@ class SchurParameterOutOfDisk(InnerOrbitError):
 
 
 class RootFindFailure(InnerOrbitError):
-    """The corrector phase solve did not converge."""
+    """The corrector's phase misses its boundary value by more than 1e-10."""
 
 
 class PinNotUnimodular(InnerOrbitError):

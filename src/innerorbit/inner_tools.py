@@ -358,51 +358,27 @@ def _corrector_boundary_value(t: float, phi: float) -> complex:
 
 
 def _solve_corrector_phase(t: float, w: complex) -> float:
-    """Solve psi_phi(1) = w by bisection on phi in [-pi, pi).
+    """The phase phi with psi_phi(1) = w, in closed form.
 
-    The boundary-value map winds once around the circle, strictly decreasing
-    in argument, so the residual d(phi) = wrap(arg psi_phi(1) - arg w) has
-    exactly one genuine sign change (d_lo >= 0 >= d_hi) per period; the
-    other sign change is the +-pi seam and is increasing. The scan is
-    centered at phi = 0 where the map is steep, so bisection keeps full
-    relative resolution there.
+    The map u -> (t u - 1)/(u - t) is its own inverse on the circle, and in
+    half-angles it reads tan(phi/2) tan(arg w/2) = (1 - t)/(1 + t). With
+    w = x + iy, tan(arg w/2) is y/(1 + x) or, equally, (1 - x)/y; the first
+    is taken where x >= 0 and the second where x < 0, so neither 1 + x nor
+    1 - x cancels. 1 - t = 2^-j and 1 + t are exact, so phi carries only
+    the rounding of w's coordinates and of atan2, and keeps its relative
+    accuracy when it is tiny (w next to -1). The quotient's numerator is
+    made non-negative, so atan2 gives phi/2 in [-pi/2, pi/2].
     """
-    target = cmath.phase(w)
-
-    def residual(phi: float) -> float:
-        return normalize_angle(cmath.phase(_corrector_boundary_value(t, phi)) - target)
-
-    cells = 64
-    # one extra cell past +pi so a crossing at the scan seam is bracketed;
-    # the map is 2pi-periodic in phi, so raw phi beyond pi is fine
-    grid = [-math.pi + 2.0 * math.pi * k / cells for k in range(cells + 2)]
-    vals = [residual(p) for p in grid]
-    for p, d in zip(grid, vals):
-        if d == 0.0:
-            return p
-    lo = hi = None
-    for i in range(cells + 1):
-        if vals[i] > 0.0 > vals[i + 1]:
-            lo, hi = grid[i], grid[i + 1]
-            break
-    if lo is None:
-        raise RootFindFailure("no decreasing sign change found for the phase solve")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        d = residual(mid)
-        if d == 0.0:
-            return mid
-        if d > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    phi = lo if abs(residual(lo)) <= abs(residual(hi)) else hi
-    if abs(_corrector_boundary_value(t, phi) - w) > 1e-10:
-        raise RootFindFailure(
-            f"phase solve residual {abs(_corrector_boundary_value(t, phi) - w):.3e}"
-        )
+    if w.real >= 0.0:
+        num, den = w.imag, 1.0 + w.real
+    else:
+        num, den = 1.0 - w.real, w.imag
+    if num < 0.0:
+        num, den = -num, -den
+    phi = 2.0 * math.atan2((1.0 - t) * den, (1.0 + t) * num)
+    residual = abs(_corrector_boundary_value(t, phi) - w)
+    if residual > 1e-10:
+        raise RootFindFailure(f"phase solve residual {residual:.3e}")
     return phi
 
 

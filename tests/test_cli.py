@@ -575,3 +575,41 @@ def test_bad_generated_sequence_exits_one_in_every_mode(tmp_path, capsys, mode, 
     assert error["type"] == "ConfigError"
     assert error["message"] == f"[sequence] {key} {message}"
     assert not (out / "report.json").exists()
+
+
+def test_sparse_schedule_exits_two_with_partial_report(tmp_path):
+    # one subsequence member every four indices: a doubling step of the
+    # stage-index search can land on the member its lower end holds
+    text = N1_CONFIG.replace("theta = 0.0", "theta = 0.0|0.4|0.8|1.2").replace(
+        "f1 = const 0.5+0i", "f1 = const 0.3+0.2i")
+    cfg_path = _write(tmp_path, "sparse.ini", text)
+    out = tmp_path / "out"
+    assert run_cli(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == 2
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert results["selection"]["indices"][:3] == [1, 5, 9]
+    assert results["recorded_indices"] == [143_309]
+    assert results["failure"]["stage"] == 2
+    assert results["failure"]["error"] == "SequenceExhausted"
+
+
+@pytest.mark.parametrize("text,parsed", [
+    (N1_CONFIG, ["const 0.5+0i", "z[1]"]),
+    (N1_CONFIG.replace("construct-universal", "verify-orbit")
+     + "\n[verify]\nx = z[1]^2\nindices = 3,9\n", ["const 0.5+0i", "z[1]", "z[1]^2"]),
+    (GOOD_INNER_CONFIG, ["z[1]^5"]),
+    (GOOD_INNER_CONFIG.replace("good-inner", "diagnose-inner"), ["z[1]^5"]),
+], ids=["construct", "verify", "good-inner", "diagnose"])
+def test_each_target_is_parsed_once_per_run(tmp_path, monkeypatch, text, parsed):
+    # the targets, while loading, then a verify-orbit run's x
+    texts = []
+    parse = innerorbit.cli.parse_function_dsl
+
+    def counted(text, dimension):
+        texts.append(text)
+        return parse(text, dimension)
+
+    monkeypatch.setattr(innerorbit.cli, "parse_function_dsl", counted)
+    cfg_path = _write(tmp_path, "run.ini", text)
+    assert run_cli(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                    "--quiet"]) == 0
+    assert texts == parsed

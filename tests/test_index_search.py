@@ -2,6 +2,7 @@
 replaced, which stays here as the reference, on synthetic condition values
 and on the shipped n = 1 config."""
 
+import bisect
 import json
 import math
 from pathlib import Path
@@ -120,28 +121,33 @@ def step_curve(crossing, before, after):
     return value
 
 
-def search_both(monkeypatch, selection, value, floor, k_max, carrier="b"):
-    """Run the engine's search and the reference on the values ``value(k)``
-    (the larger condition; the other is half of it). Returns each one's
-    outcome, a result tuple or the SequenceExhausted message, and each
-    one's probed indices in order."""
-    calls = []
+def run_search(monkeypatch, search, selection, value, floor, k_max, carrier="b"):
+    """Run ``search`` on the values ``value(k)`` (the larger condition; the
+    other is half of it). Returns its outcome, a result tuple or the
+    SequenceExhausted message, and its probed indices in order."""
+    probes = []
 
     def synthetic(seq, axes, factors, projected, k):
-        calls[-1].append(k)
+        probes.append(k)
         g = value(k)
         return ((g,), 0.5 * g) if carrier == "a" else ((0.5 * g,), g)
 
     monkeypatch.setattr(engine, "stage_condition_values", synthetic)
-    outcomes = []
-    for search in (engine.choose_stage_index, reference_choose_stage_index):
-        calls.append([])
-        try:
-            outcomes.append(search(selection, None, [None], None, 1, floor,
-                                   DELTA, k_max))
-        except SequenceExhausted as exc:
-            outcomes.append(str(exc))
-    return (*outcomes, *calls)
+    try:
+        outcome = search(selection, None, [None], None, 1, floor, DELTA, k_max)
+    except SequenceExhausted as exc:
+        outcome = str(exc)
+    return outcome, probes
+
+
+def search_both(monkeypatch, selection, value, floor, k_max, carrier="b"):
+    """The engine's search and the reference on the same values: each
+    one's outcome, then each one's probed indices."""
+    (got, probes), (expected, reference) = (
+        run_search(monkeypatch, search, selection, value, floor, k_max, carrier)
+        for search in (engine.choose_stage_index, reference_choose_stage_index)
+    )
+    return got, expected, probes, reference
 
 
 def probe_budget(floor, k_max):
@@ -180,6 +186,45 @@ def test_search_matches_reference_within_probe_budget(monkeypatch, case):
     got, expected, probes, _ = search_both(monkeypatch, selection, value, floor,
                                            k_max, carrier=carrier)
     assert got == expected
+    assert len(probes) <= probe_budget(floor, k_max)
+
+
+def sparse_selection(period):
+    """One member every ``period`` indices (1, 1 + period, ...): the angles
+    0, 0.4, 0.8, ... of the cycle each fall in a cell of their own."""
+    return selection_for(tuple((0.4 * i,) for i in range(period)))
+
+
+def smallest_admissible_member(value, period, floor, k_max):
+    """The first member above ``floor`` whose value meets the tolerance,
+    None if no member up to ``k_max`` does; admissibility is monotone
+    along these curves, so bisection over the list of members finds it."""
+    first = floor + 1 + (-floor) % period
+    members = range(first, k_max + 1, period)
+    i = bisect.bisect_left(members, True, key=lambda k: value(k) <= TOL)
+    return members[i] if i < len(members) else None
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(period=st.integers(4, 11), case=search_cases())
+def test_sparse_members_search_finds_smallest_admissible_member(
+    monkeypatch, period, case
+):
+    # members 4 to 11 indices apart let a doubling step land on the member
+    # the lower end already holds; the reference's bisection skips members
+    # in such gaps, so the oracle here is the member list itself
+    _, value, floor, k_max, carrier = case
+    selection = sparse_selection(period)
+    assert [k for k in range(1, 3 * period + 2) if selection.contains(k)] == [
+        1, 1 + period, 1 + 2 * period, 1 + 3 * period]
+    got, probes = run_search(monkeypatch, engine.choose_stage_index, selection,
+                             value, floor, k_max, carrier)
+    expected = smallest_admissible_member(value, period, floor, k_max)
+    if expected is None:
+        assert isinstance(got, str)
+    else:
+        assert not isinstance(got, str) and got[0] == expected
     assert len(probes) <= probe_budget(floor, k_max)
 
 

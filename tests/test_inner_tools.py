@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from innerorbit import (
     BlaschkeFactor,
@@ -32,6 +34,7 @@ from innerorbit.errors import (
     SchurParameterOutOfDisk,
     ValidityError,
 )
+from innerorbit.inner_tools import _corrector_boundary_value, _solve_corrector_phase
 
 from util import random_automorphism, random_torus_point
 
@@ -258,6 +261,31 @@ def test_corrector_proximity_monotone_in_index():
             assert b <= a + 1e-15
         for j, s in zip(range(4, 25), sups):
             assert s <= 8 * 2.0**-j
+
+
+#: four units in the last place of 1
+FOUR_ULP = 4 * 2.0**-52
+
+
+@st.composite
+def corrector_targets(draw):
+    """w = e^{i psi} with psi uniform, or within 1e-18 to 1e-1 of 0 or of
+    +-pi: w next to 1, where phi is near +-pi, or next to -1, where phi is
+    tiny and 1 + Re w cancels."""
+    if draw(st.booleans()):
+        return cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
+    offset = draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-18.0, -1.0))
+    return draw(st.sampled_from((-1.0, 1.0))) * cmath.exp(1j * offset)
+
+
+@settings(max_examples=400, deadline=None)
+@given(j=st.integers(1, 52), w=corrector_targets())
+def test_corrector_phase_hits_its_target_to_four_ulp(j, w):
+    t = 1.0 - math.ldexp(1.0, -j)
+    phi = _solve_corrector_phase(t, w)
+    assert abs(_corrector_boundary_value(t, phi) - w) <= FOUR_ULP
+    psi = make_corrector(j, 1.0, w, 1)
+    assert abs(psi.eval((0.0,)) - t) <= FOUR_ULP
 
 
 # ---------------------------------------------------------------------------
