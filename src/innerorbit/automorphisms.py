@@ -5,10 +5,10 @@ followed by one disk Moebius map per coordinate:
 
     phi(z)_j = e^{i theta_j} (alpha_j - z_{p(j)}) / (1 - conj(alpha_j) z_{p(j)})
 
-This module provides exact evaluation, inversion, composition with numeric
-normal-form recovery, sequence generators, and the subsequence selector
-that stabilizes the permutation and the angle vector and extracts the
-distinguished-boundary limit points of a sequence and of its inverses.
+This module provides exact evaluation, inversion, closed-form composition,
+sequence generators, and the subsequence selector that stabilizes the
+permutation and the angle vector and extracts the distinguished-boundary
+limit points of a sequence and of its inverses.
 """
 
 from __future__ import annotations
@@ -97,14 +97,7 @@ class MobiusFactor:
 
     def __call__(self, z):
         """Evaluate at a complex scalar or numpy array."""
-        if isinstance(z, np.ndarray):
-            return _moebius(self.alpha, self.phase, z)
-        # scalars keep scalar arithmetic, whose bits a ufunc call does not
-        # reproduce
-        den = 1.0 - np.conjugate(self.alpha) * z
-        if abs(den) < POLE_TOL:
-            raise PoleHit(f"denominator vanished for factor alpha={self.alpha}")
-        return self.phase * (self.alpha - z) / den
+        return _moebius(self.alpha, self.phase, z)
 
     def inverse(self) -> "MobiusFactor":
         """The factor with alpha' = e^{i theta} alpha, theta' = -theta."""
@@ -112,21 +105,19 @@ class MobiusFactor:
 
 
 def mobius_compose(outer: MobiusFactor, inner: MobiusFactor) -> MobiusFactor:
-    """Normal form of z -> outer(inner(z)).
+    """Normal form of z -> outer(inner(z)), in closed form.
 
-    Recovery is numeric: the new zero is inner^-1(outer.alpha); the phase is
-    read off by evaluating the composite at a probe point well away from the
-    zero, which is stable for every parameter combination including tiny or
-    near-boundary alphas.
+    In the 2x2 matrix form of disk automorphisms, with u = e^{i theta} and
+    c = 1 - a_o conj(a_i) conj(u_i), the composite has its zero at
+    (a_i - a_o conj(u_i)) / c and the unimodular constant
+    -u_o u_i c / conj(c). theta is the phase of that product: the angle sum
+    theta_o + theta_i + pi + 2 arg c rounds to about twice the error.
     """
-    z0 = inner.inverse()(outer.alpha)
-    if abs(z0) >= 1.0:
-        # rounding can push a legitimately sub-unit zero onto the circle
-        z0 *= (1.0 - 1e-16) / abs(z0)
-    w = 0.5 if abs(z0 - 0.5) >= 0.3 else -0.5
-    u = outer(inner(w)) * (1.0 - z0.conjugate() * w) / (z0 - w)
-    u /= abs(u)
-    return MobiusFactor(alpha=z0, theta=cmath.phase(u))
+    u_i = inner.phase
+    c = 1.0 - outer.alpha * inner.alpha.conjugate() * u_i.conjugate()
+    alpha = (inner.alpha - outer.alpha * u_i.conjugate()) / c
+    theta = cmath.phase(-(outer.phase * u_i) * (c / c.conjugate()))
+    return MobiusFactor(alpha=alpha, theta=theta)
 
 
 def check_direction(direction) -> tuple:

@@ -416,8 +416,10 @@ def _corrector_index_for(j: int, j_min: int, eta: float, eps_j: float) -> int:
     idx = max(j_min, j + j_min, adaptive)
     if idx > _MAX_CORRECTOR_INDEX:
         raise InterferenceBudgetExceeded(
-            f"stage {j} needs corrector index {idx} beyond float resolution; "
-            "the image compact is too close to the boundary"
+            f"stage {j} needs corrector index {idx}, past the cap of "
+            f"{_MAX_CORRECTOR_INDEX} that binary64 resolves; the image compact "
+            f"is too close to the boundary (eta = {eta!r})",
+            {"eta": eta},
         )
     return idx
 
@@ -523,8 +525,9 @@ def run_universality(config: EngineConfig) -> UniversalityRun:
                     break
                 except InterferenceBudgetExceeded as exc:
                     escalations += 1
-                    # an image already on the circle (eta) only moves
-                    # closer to it at a deeper index
+                    # an image on the circle or past the corrector cap
+                    # (both carry eta) only moves closer to the circle at a
+                    # deeper index
                     if escalations > config.max_escalations or "eta" in exc.values:
                         raise
                     search_floor = 4 * n_j

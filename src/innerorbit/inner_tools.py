@@ -278,9 +278,11 @@ def schur_project(coeffs, depth: int, tail_constant: complex = 1.0) -> HoloFunct
     """Finite Blaschke product matching the first ``depth`` Taylor
     coefficients of the input ball function.
 
-    The recursion is truncated at ``depth`` and the remainder replaced by
-    the unimodular tail constant; reconstruction runs in exact polynomial
-    arithmetic and the zeros are recovered from the numerator. For two ball
+    The recursion is truncated at depth d and the remainder replaced by
+    the unimodular tail constant eta. Reconstruction runs in polynomial
+    arithmetic on p/q, where p keeps its leading coefficient eta and
+    q = eta p* is p's reciprocal polynomial; so with a_k the roots of p the
+    product is (-1)^d eta prod (a_k - z)/(1 - conj(a_k) z). For two ball
     functions sharing the first d coefficients, sup on |z| <= rho differs by
     at most 2 rho^d / (1 - rho).
     """
@@ -291,17 +293,13 @@ def schur_project(coeffs, depth: int, tail_constant: complex = 1.0) -> HoloFunct
     gammas = schur_parameters(coeffs, depth)
 
     p = np.array([eta], dtype=complex)
-    q = np.array([1.0], dtype=complex)
     for gamma in reversed(gammas):
-        pz = np.concatenate([[0.0], p])
-        p_new = pz.copy()
-        p_new[: len(q)] += gamma * q
-        q_new = np.conjugate(gamma) * pz
-        q_new[: len(q)] += q
-        p, q = p_new, q_new
+        q = eta * np.conjugate(p[::-1])
+        p = np.concatenate([[0.0], p])
+        p[: len(q)] += gamma * q
 
     zeros = np.roots(p[::-1])
-    if zeros.size and np.max(np.abs(zeros)) >= 1.0:
+    if np.max(np.abs(zeros)) >= 1.0:
         worst = float(np.max(np.abs(zeros)))
         if worst >= 1.0 + 1e-9:
             raise ValidityError(f"reconstructed zero has modulus {worst:.17g}")
@@ -310,22 +308,8 @@ def schur_project(coeffs, depth: int, tail_constant: complex = 1.0) -> HoloFunct
         )
     order = np.lexsort((zeros.imag, zeros.real))
     zeros = zeros[order]
-
-    # phase from a probe point kept away from every zero
-    candidates = [0.0, 0.5, -0.5, 0.5j, -0.5j]
-    w = max(
-        candidates,
-        key=lambda c: float(np.min(np.abs(zeros - c))) if zeros.size else 1.0,
-    )
-    num = np.polyval(p[::-1], w)
-    den = np.polyval(q[::-1], w)
-    ref = np.prod((zeros - w) / (1.0 - np.conjugate(zeros) * w)) if zeros.size else 1.0
-    u = (num / den) / ref
-    u /= abs(u)
-
-    if not zeros.size:
-        return Constant(complex(u), dimension=1)
-    return _blaschke_from_zeros([complex(z) for z in zeros], complex(u), dimension=1)
+    u = eta if depth % 2 == 0 else -eta
+    return _blaschke_from_zeros([complex(z) for z in zeros], u, dimension=1)
 
 
 def schur_project_adaptive(coeffs, depth: int, tail_constant: complex = 1.0):

@@ -575,9 +575,17 @@ def test_corrector_index_refuses_image_on_the_circle():
             _corrector_index_for(3, 12, eta, 0.05 / 8)
 
 
-def test_image_on_the_circle_ends_as_partial_run():
-    # the third stage escalates until the probe image rounds onto the
-    # circle; a deeper index cannot help, so the run stops there
+def test_corrector_cap_ends_as_partial_run(monkeypatch):
+    # the third stage needs a corrector index past the cap; a deeper index
+    # only needs a larger one, so the run stops after one attempt
+    stages = []
+    build_factor = engine.build_factor
+
+    def counted(config, lam, j, *args):
+        stages.append(j)
+        return build_factor(config, lam, j, *args)
+
+    monkeypatch.setattr(engine, "build_factor", counted)
     seq = constant_sequence()
     cfg = EngineConfig(
         sequence=seq,
@@ -587,6 +595,7 @@ def test_image_on_the_circle_ends_as_partial_run():
     )
     run = run_universality(cfg)
     assert len(run.stages) == 2
+    assert stages.count(3) == 1
     assert run.failure["stage"] == 3
     assert run.failure["error"] == "InterferenceBudgetExceeded"
-    assert "eta = " in run.failure["message"]
+    assert "past the cap of 48" in run.failure["message"]

@@ -207,6 +207,40 @@ def test_schur_fidelity_on_random_ball_functions():
         assert np.max(np.abs(back - coeffs[:depth])) < 1e-8
 
 
+angles = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    depth=st.integers(1, 12),
+    tail_angle=angles,
+    modulus=st.floats(0.0, 0.9),
+    angle=angles,
+    zeros=st.lists(st.tuples(st.floats(0.0, 0.6), angles, angles), max_size=3),
+)
+def test_schur_matches_coefficients_and_keeps_the_tail(
+    depth, tail_angle, modulus, angle, zeros
+):
+    # the projection of c * (up to 3 Blaschke factors) at depth d has the
+    # input's first d coefficients, so its Schur parameters up to d - 1 are
+    # the input's, and its parameter d is the tail eta, on the circle
+    f = Product(
+        (Constant(cmath.rect(modulus, angle), 1),)
+        + tuple(
+            BlaschkeFactor(MobiusFactor(cmath.rect(r, t), theta), 1, 1)
+            for r, t, theta in zeros
+        )
+    )
+    eta = cmath.exp(1j * tail_angle)
+    coeffs = taylor_coeffs(f, depth)
+    b = schur_project(coeffs, depth, eta)
+    assert np.max(np.abs(taylor_coeffs(b, depth - 1) - coeffs[:depth])) < 1e-12
+    with pytest.raises(SchurParameterOutOfDisk) as info:
+        schur_parameters(taylor_coeffs(b, depth + 1), depth + 1)
+    assert info.value.step == depth
+    assert abs(info.value.parameter - eta) < 1e-12
+
+
 def test_schur_parameters_of_constant():
     gammas = schur_parameters(taylor_coeffs(Constant(0.5, 1), 8), 4)
     assert gammas[0] == pytest.approx(0.5, abs=1e-13)
