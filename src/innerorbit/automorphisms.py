@@ -328,10 +328,15 @@ class GeneratedSequence:
         modulus = 1.0 - self.rate / (k + 1.0)
         thetas = self.theta_cycle[(k - 1) % len(self.theta_cycle)]
         perm = self.perm_cycle[(k - 1) % len(self.perm_cycle)]
-        factors = tuple(
-            MobiusFactor(alpha=modulus * d, theta=t)
-            for d, t in zip(self.direction, thetas)
-        )
+        try:
+            factors = tuple(
+                MobiusFactor(alpha=modulus * d, theta=t)
+                for d, t in zip(self.direction, thetas)
+            )
+        except ValidityError as exc:
+            reason = ("1 - rate/(k+1) rounds to 1 in binary64" if modulus == 1.0
+                      else str(exc))
+            raise ValidityError(f"sequence index {k}: {reason}") from exc
         return PolydiskAutomorphism(factors=factors, perm=perm)
 
 

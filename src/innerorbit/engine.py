@@ -65,10 +65,10 @@ from .inner_tools import (
 _MAX_CORRECTOR_INDEX = 48
 
 #: probe points one batched orbit evaluation covers: a chunk of the sweep
-#: holds max(1, _BATCH_POINTS // points per index) indices. Bigger chunks
-#: trade memory for little speed: on the orbit-sweep benchmark (2-vCPU VM)
-#: this size adds about 1.5 MiB of peak RSS over one index at a time,
-#: 16 384 about 2 MiB for roughly 10 % less time per op
+#: holds max(1, _BATCH_POINTS // points per index) indices. On the
+#: orbit-sweep benchmark (2-vCPU VM, the CLI's allocator policy in place)
+#: this size halves op_s_tail against one index at a time for about 0.5 MiB
+#: more peak RSS; 16 384 adds about 1 MiB for no measurable speed
 _BATCH_POINTS = 12_288
 
 #: margin, in log(k + 1), by which a stage-index jump passes the crossing its
@@ -274,8 +274,9 @@ def choose_stage_index(
     member whenever admissibility is monotone along the members, and
     otherwise an admissible member whose preceding member is not.
     ``SequenceExhausted`` is raised only where the doubling steps and the
-    last member up to ``k_max`` are all inadmissible. Each probe is one
-    ``stage_condition_values`` call, and no index is probed twice.
+    last member up to ``k_max`` are all inadmissible; a doubling step that
+    ``seq.at`` cannot represent raises its ``ValidityError``. Each probe is
+    one ``stage_condition_values`` call, and no index is probed twice.
     """
     seq = selection.sequence
     tol = delta * math.ldexp(1.0, -j)
@@ -536,6 +537,7 @@ def run_universality(config: EngineConfig) -> UniversalityRun:
             InterferenceBudgetExceeded,
             ProjectionFailed,
             UnsupportedTargetShape,
+            ValidityError,
         ) as exc:
             run.failure = {
                 "stage": j,

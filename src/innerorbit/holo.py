@@ -50,9 +50,10 @@ TAYLOR_RADIUS = 0.75
 
 #: elements one stacked Moebius evaluation covers: a run of same-coordinate
 #: Blaschke leaves in a product is evaluated max(1, _STACK_ELEMENTS // points)
-#: leaves at a time. On the orbit-sweep benchmark (2-vCPU VM) this size
-#: keeps peak RSS where one leaf at a time has it; 1 << 15 took about 17 %
-#: off op_s_tail for 2.1 MiB more, and no cap added 11.5 MiB for no speed
+#: leaves at a time. On the orbit-sweep benchmark (2-vCPU VM, the CLI's
+#: allocator policy in place) this size keeps peak RSS where one leaf at a
+#: time has it and takes about a quarter off op_s_tail; 1 << 15 added
+#: 1.9 MiB for no measurable speed, and no cap added 11.5 MiB and was slower
 _STACK_ELEMENTS = 1 << 13
 
 

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import platform
 import re
 import struct
 import subprocess
@@ -71,6 +72,16 @@ def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return p
+
+
+def _child_env():
+    """The environment of a child interpreter that imports this innerorbit."""
+    env = dict(os.environ)
+    src = str(Path(innerorbit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 def test_missing_config_exits_one(tmp_path, capsys):
@@ -311,15 +322,62 @@ def test_image_on_the_circle_exits_two_with_partial_report(tmp_path):
     assert results["failure"]["error"] == "InterferenceBudgetExceeded"
 
 
+def test_index_past_binary64_resolution_keeps_completed_stages(tmp_path):
+    # the stage-2 doubling steps reach k ~ 1.8e16, where 1 - rate/(k+1)
+    # rounds to 1 and the sequence has no automorphism at k
+    text = N1_CONFIG.replace(
+        "k_max = 1000000000", "k_max = 1000000000000000000\ndelta = 1e-7")
+    cfg_path = _write(tmp_path, "fine.ini", text)
+    out = tmp_path / "out"
+    assert run_cli(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == 2
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert [s["chosen_index"] for s in results["stages"]] == [198_097_500]
+    assert results["recorded_indices"] == [198_097_500]
+    failure = results["failure"]
+    assert failure["stage"] == 2
+    assert failure["error"] == "ValidityError"
+    named = re.fullmatch(r"sequence index (\d+): 1 - rate/\(k\+1\) rounds to 1 "
+                         r"in binary64", failure["message"])
+    assert named
+    k = int(named[1])
+    assert k > 198_097_500 and 1.0 - 1.0 / (k + 1.0) == 1.0
+
+
+ALLOCATOR_PROBE = """\
+import resource, sys
+from innerorbit.cli import run_cli
+argv = ["--config", sys.argv[1], "--out", sys.argv[2], "--quiet"]
+assert run_cli(argv) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert run_cli(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator policy is glibc's mallopt")
+def test_repeated_run_does_not_refault_freed_arrays(tmp_path):
+    # 512^2 quadrature points per shell: each temporary is MiB-sized, and
+    # glibc's defaults hand it back to the kernel on free, so the next run
+    # faults every page in again (thousands of faults)
+    text = GOOD_INNER_CONFIG.replace("dimension = 1", "dimension = 2").replace(
+        "f1 = z[1]^5", "f1 = blaschke(0.5+0.2i, 0)[1] * blaschke(-0.3+0.4i, 0)[2]"
+    ).replace("quad_points = 64", "quad_points = 512")
+    cfg_path = _write(tmp_path, "n2.ini", text)
+    env = _child_env()
+    proc = subprocess.run(
+        [sys.executable, "-c", ALLOCATOR_PROBE, str(cfg_path), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 500
+
+
 @pytest.mark.parametrize("k_max, expected", [("1000000000", 0), ("100", 2)])
 def test_module_entry_point_runs(tmp_path, k_max, expected):
     text = N1_CONFIG.replace("k_max = 1000000000", f"k_max = {k_max}")
     cfg_path = _write(tmp_path, "n1.ini", text)
-    env = dict(os.environ)
-    src = str(Path(innerorbit.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
+    env = _child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "innerorbit.cli", "--config", str(cfg_path),
          "--out", str(tmp_path / "module"), "--quiet"],

@@ -14,7 +14,9 @@ def test_corpus_exit_codes(tmp_path, capsys):
     # that fits it moves this tally on purpose
     assert corpus.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == (
-        "285 runs: 245 exit 0, 40 exit 2"
+        "315 runs: 275 exit 0, 40 exit 2"
     )
     assert (tmp_path / "configs" / "universal_n1_verify" / "report.json").is_file()
     assert (tmp_path / "n3_two_s39" / "report.json").is_file()
+    assert (tmp_path / "diagnose_n2_s4" / "tables" / "radial_modulus.csv").is_file()
+    assert (tmp_path / "sweep_n2_s4" / "report.json").is_file()

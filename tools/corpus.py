@@ -4,14 +4,18 @@
     python3 tools/corpus.py OUT_DIR
 
 Run from anywhere; the program and the benchmark's config generators are
-imported from this checkout. The corpus is 285 runs:
+imported from this checkout. The corpus is 315 runs:
 
 - the three ``configs/*.ini``, under ``OUT_DIR/configs/<name>/``;
 - the benchmark shapes ``n1_two``, ``n2_swap``, ``n1_three`` and
   ``n3_two`` of ``perfbench/workloads.py`` for seeds 0-39, under
   ``OUT_DIR/<shape>_s<seed>/``;
 - a ``verify-orbit`` at the recorded indices of each construction that
-  exits 0, under ``OUT_DIR/<label>_verify/``.
+  exits 0, under ``OUT_DIR/<label>_verify/``;
+- for seeds 0-4, the runs of one ``diagnose`` and one ``orbit-sweep``
+  benchmark op on the products of that seed's ``n1_two`` and ``n2_swap``:
+  ``good-inner`` and ``diagnose-inner`` at n = 1 and n = 2, and the
+  ``verify-orbit`` sweeps to k = 250, under ``OUT_DIR/<run>_s<seed>/``.
 
 Each generated config is written next to its output directory. Prints the
 number of runs per exit code. Compare the trees of two checkouts with
@@ -34,6 +38,8 @@ import workloads as wl  # noqa: E402
 
 SHAPES = (wl.n1_two, wl.n2_swap, wl.n1_three, wl.n3_two)
 SEEDS = range(40)
+#: seeds whose products also run the diagnose and orbit-sweep modes
+MODE_SEEDS = range(5)
 
 
 def _run(config: Path, out: Path) -> int:
@@ -51,6 +57,28 @@ def _verify(out_root: Path, label: str, text: str, out: Path, tally: Counter):
                       wl.verify_config(text, results["x_expression"],
                                        f"indices = {indices}"))
     tally[_run(run.config, run.out)] += 1
+
+
+def _mode_runs(out_root: Path, seed: int) -> dict:
+    """Label -> config text of the runs of one ``diagnose`` and one
+    ``orbit-sweep`` op, on the products the corpus built for ``seed``."""
+    inputs = wl.Inputs.from_seed(seed)
+    shapes = {1: wl.n1_two, 2: wl.n2_swap}
+    products = {
+        n: json.loads((out_root / f"{shape.__name__}_s{seed}" / "report.json")
+                      .read_text(encoding="utf-8"))["results"]["x_expression"]
+        for n, shape in shapes.items()
+    }
+    targets = {1: [products[1]] + [wl._blaschke_n1(z) for z in inputs.zeros_n1],
+               2: [products[2]] + [wl._blaschke_n2(z) for z in inputs.zeros_n2]}
+    texts = {}
+    for n, shape in shapes.items():
+        for mode in ("good-inner", "diagnose-inner"):
+            texts[f"{mode.split('-')[0]}_n{n}_s{seed}"] = wl.diagnostics_config(
+                mode, inputs, n, targets[n])
+        texts[f"sweep_n{n}_s{seed}"] = wl.verify_config(
+            shape(inputs), products[n], f"k = {wl.SWEEP_K}")
+    return texts
 
 
 def run_corpus(out_root: Path) -> Counter:
@@ -73,6 +101,10 @@ def run_corpus(out_root: Path) -> Counter:
             tally[code] += 1
             if code == 0:
                 _verify(out_root, label, text, run.out, tally)
+    for seed in MODE_SEEDS:
+        for label, text in _mode_runs(out_root, seed).items():
+            run = wl.make_run(out_root, label, text)
+            tally[_run(run.config, run.out)] += 1
     return tally
 
 
