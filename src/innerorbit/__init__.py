@@ -45,6 +45,7 @@ from .errors import (
     ParseError,
     PinNotUnimodular,
     PoleHit,
+    PrecisionExhausted,
     ProjectionFailed,
     RadiusOnZeroModulus,
     RootFindFailure,

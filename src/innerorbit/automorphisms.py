@@ -13,7 +13,9 @@ limit points of a sequence and of its inverses.
 
 from __future__ import annotations
 
+import bisect
 import cmath
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -121,12 +123,14 @@ def mobius_compose(outer: MobiusFactor, inner: MobiusFactor) -> MobiusFactor:
 
 
 def check_direction(direction) -> tuple:
-    """``direction`` as complex numbers, once each is unimodular."""
+    """``direction`` as complex numbers within 1e-12 of the unit circle,
+    each put on it: alpha must leave the disk only where 1 - rate/(k+1)
+    rounds to 1."""
     direction = tuple(complex(d) for d in direction)
     for d in direction:
         if abs(abs(d) - 1.0) > 1e-12:
             raise ValidityError("direction coordinates must be unimodular")
-    return direction
+    return tuple(d / abs(d) for d in direction)
 
 
 def check_rate(rate: float) -> float:
@@ -340,8 +344,8 @@ class GeneratedSequence:
         return PolydiskAutomorphism(factors=factors, perm=perm)
 
 
-def _angle_cell(thetas, angle_tol: float) -> tuple:
-    return tuple(int(math.floor((t + math.pi) / angle_tol)) for t in thetas)
+def _angle_cell(phi: PolydiskAutomorphism, angle_tol: float) -> tuple:
+    return tuple(int(math.floor((f.theta + math.pi) / angle_tol)) for f in phi.factors)
 
 
 @dataclass
@@ -349,8 +353,10 @@ class SubsequenceSelection:
     """A stabilized subsequence: constant permutation, clustered angles.
 
     ``indices`` lists the selected indices within the analysis horizon;
-    membership of later indices is decided by ``contains`` so the engine
-    can search far beyond the horizon.
+    ``residues`` the members among 1..``span``, one period of a generated
+    sequence or all of an explicit one. Membership queries are arithmetic
+    on that table, so the engine searches far beyond the horizon without
+    evaluating the sequence.
     """
 
     indices: tuple
@@ -359,39 +365,38 @@ class SubsequenceSelection:
     limit_moduli: tuple  # unimodular directions
     lam: TorusPoint
     gamma: TorusPoint
-    angle_tol: float
     horizon: int
     sequence: object = field(repr=False)
-    _cell: tuple = field(repr=False, default=())
+    span: int = field(repr=False)
+    residues: tuple = field(repr=False)  # the members among 1..span
+
+    def _count(self, k: int) -> int:
+        """Number of members <= k."""
+        length = self.sequence.length
+        q, r = divmod(max(0, k if length is None else min(k, length)), self.span)
+        return q * len(self.residues) + bisect.bisect_right(self.residues, r)
+
+    def _nth(self, i: int):
+        """Member i, counting from 0, or None outside the sequence."""
+        q, r = divmod(i, len(self.residues))
+        k = q * self.span + self.residues[r]
+        length = self.sequence.length
+        return k if 1 <= k and (length is None or k <= length) else None
 
     def contains(self, k: int) -> bool:
-        length = self.sequence.length
-        if k < 1 or (length is not None and k > length):
-            return False
-        phi = self.sequence.at(k)
-        if phi.perm != self.permutation:
-            return False
-        thetas = tuple(f.theta for f in phi.factors)
-        return _angle_cell(thetas, self.angle_tol) == self._cell
+        return self._count(k) > self._count(k - 1)
 
     def next_member(self, k: int):
         """Smallest member >= k, or None when the sequence is exhausted."""
-        period = getattr(self.sequence, "period", None)
-        if period:
-            guard = 4 * period + 4
-        elif self.sequence.length is not None:
-            guard = self.sequence.length + 1
-        else:
-            guard = 256
-        probe = max(k, 1)
-        for _ in range(guard):
-            length = self.sequence.length
-            if length is not None and probe > length:
-                return None
-            if self.contains(probe):
-                return probe
-            probe += 1
-        return None
+        return self._nth(self._count(k - 1))
+
+    def member_from(self, k: int, top: int):
+        """The first member >= k if it is <= top, else the last member
+        <= top; None when no member is <= top."""
+        first = self.next_member(k)
+        if first is not None and first <= top:
+            return first
+        return self._nth(self._count(top) - 1)
 
 
 def select_subsequence(
@@ -431,13 +436,18 @@ def select_subsequence(
         raise EmptySelection("no permutation repeats within the horizon")
     perm = min(p for p, c in perm_counts.items() if c == best_count)
 
-    fiber = [k for k, a in enumerate(autos, start=1) if a.perm == perm]
     cells: dict = {}
-    for k in fiber:
-        thetas = tuple(f.theta for f in autos[k - 1].factors)
-        cells.setdefault(_angle_cell(thetas, angle_tol), []).append(k)
+    for k, a in enumerate(autos, start=1):
+        if a.perm == perm:
+            cells.setdefault(_angle_cell(a, angle_tol), []).append(k)
     cell_key = min(cells, key=lambda c: (-len(cells[c]), cells[c][0]))
     indices = tuple(cells[cell_key])
+    # membership repeats with the schedule: classify one period, or the
+    # whole of an explicit sequence, once
+    span = seq.period if length is None else length
+    cycle = itertools.chain(autos[:span], map(seq.at, range(horizon + 1, span + 1)))
+    residues = tuple(k for k, a in enumerate(cycle, start=1)
+                     if a.perm == perm and _angle_cell(a, angle_tol) == cell_key)
 
     n = seq.dimension
     members = [autos[k - 1] for k in indices]
@@ -445,23 +455,17 @@ def select_subsequence(
         normalize_angle(sum(a.factors[j].theta for a in members) / len(members))
         for j in range(n)
     )
-    tail = members[-1]
-    moduli = []
-    for f in tail.factors:
-        if abs(f.alpha) == 0.0:
-            raise NoBoundaryConvergence(
-                "modulus direction undefined: alpha = 0 at the selection tail"
-            )
-        moduli.append(f.alpha / abs(f.alpha))
-    moduli = tuple(moduli)
+    tail = members[-1].factors
+    if any(f.alpha == 0.0 for f in tail):
+        raise NoBoundaryConvergence(
+            "modulus direction undefined: alpha = 0 at the selection tail"
+        )
+    moduli = tuple(f.alpha / abs(f.alpha) for f in tail)
 
     lam = TorusPoint(tuple(cmath.exp(1j * t) * d for t, d in zip(centroid, moduli)))
     # limit of the inverse maps: apply the lambda recipe to the inverse
     # normal form; the phases cancel and only the permuted direction remains
-    inv_perm = [0] * n
-    for j, p in enumerate(perm):
-        inv_perm[p] = j
-    gamma = TorusPoint(tuple(moduli[inv_perm[i]] for i in range(n)))
+    gamma = TorusPoint(tuple(moduli[perm.index(i)] for i in range(n)))
 
     return SubsequenceSelection(
         indices=indices,
@@ -470,8 +474,8 @@ def select_subsequence(
         limit_moduli=moduli,
         lam=lam,
         gamma=gamma,
-        angle_tol=float(angle_tol),
         horizon=horizon,
         sequence=seq,
-        _cell=cell_key,
+        span=span,
+        residues=residues,
     )

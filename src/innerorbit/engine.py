@@ -24,6 +24,7 @@ projection tolerance of target j on the probe.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -37,6 +38,7 @@ from .automorphisms import (
 )
 from .errors import (
     InterferenceBudgetExceeded,
+    PrecisionExhausted,
     ProjectionFailed,
     SequenceExhausted,
     UnsupportedTargetShape,
@@ -269,10 +271,13 @@ def choose_stage_index(
         halve the bracket's log width, and wherever a value is zero or
         not finite.
 
-    It stops where bisection stops: the upper end admissible and no member
-    strictly between the ends. So the index is the smallest admissible
-    member whenever admissibility is monotone along the members, and
-    otherwise an admissible member whose preceding member is not.
+    Each step lands on ``selection.member_from(step, bound)``, the bound
+    being ``k_max``, or below the upper end while refining; only probes
+    evaluate the sequence. It stops where bisection stops: the upper end
+    admissible and no member strictly between the ends. So the index is
+    the smallest admissible member whenever admissibility is monotone
+    along the members, and otherwise an admissible member whose preceding
+    member is not.
     ``SequenceExhausted`` is raised only where the doubling steps and the
     last member up to ``k_max`` are all inadmissible; a doubling step that
     ``seq.at`` cannot represent raises its ``ValidityError``. Each probe is
@@ -302,16 +307,8 @@ def choose_stage_index(
             return None
         return math.log(max(values) / tol)
 
-    def last_member(top: int, bottom: int):
-        # largest member in (bottom, top]; schedules cycle with short
-        # periods, so a short backward scan suffices
-        for k in range(top, max(bottom, top - 64), -1):
-            if selection.contains(k):
-                return k
-        return None
-
-    start = selection.next_member(floor + 1)
-    if start is None or start > k_max:
+    start = selection.member_from(floor + 1, k_max)
+    if start is None or start <= floor:
         raise SequenceExhausted("no subsequence member above the floor", best)
     if admissible(start):
         return probed[start]
@@ -324,31 +321,20 @@ def choose_stage_index(
         jump = None if below is None else _crossing_jump(
             below, level(below), lo, level(lo), k_max)
         if jump is not None and jump > doubling:
-            try:
-                candidate = selection.next_member(jump)
-                if candidate is None or candidate > k_max:
-                    candidate = last_member(k_max, lo)
-            except ValidityError:
-                candidate = None
-            # an inadmissible jump moves no end: where admissibility
-            # oscillates along the members, an admissible member may still
-            # lie below it, so the doubling steps go on
-            if candidate is not None and admissible(candidate):
-                hi = candidate
-                break
-        candidate = selection.next_member(doubling)
-        if candidate is None or candidate > k_max:
-            final = last_member(k_max, lo)
-            if final is not None and admissible(final):
-                hi = final
-                break
-            raise SequenceExhausted(
-                f"no admissible index within k_max={k_max} at stage {j} "
-                f"(tolerance {tol:.3e})",
-                best,
-            )
+            candidate = selection.member_from(jump, k_max)
+            # an inadmissible or unrepresentable jump moves no end: where
+            # admissibility oscillates along the members, an admissible
+            # member may still lie below it, so the doubling steps go on
+            with contextlib.suppress(ValidityError):
+                if admissible(candidate):
+                    hi = candidate
+                    break
+        candidate = selection.member_from(doubling, k_max)
         if admissible(candidate):
             hi = candidate
+        elif candidate < doubling:  # no member from the doubling step to k_max
+            raise SequenceExhausted(f"no admissible index within k_max={k_max} at "
+                                    f"stage {j} (tolerance {tol:.3e})", best)
         elif candidate != lo:  # sparse members: a doubling step can land on lo
             below, lo = lo, candidate
 
@@ -356,8 +342,8 @@ def choose_stage_index(
     moved = None  # the end the previous step replaced
     bisect = False
     while True:
-        first = selection.next_member(lo + 1)
-        if first is None or first >= hi:
+        first = selection.member_from(lo + 1, hi - 1)
+        if first <= lo:
             return probed[hi]
         x_lo, x_hi = math.log(lo + 1.0), math.log(hi + 1.0)
         y_lo, y_hi = level(lo), level(hi)
@@ -368,9 +354,7 @@ def choose_stage_index(
             target = math.ceil(math.exp(x) - 1.0)
         else:
             target = lo + (hi - lo) // 2
-        member = selection.next_member(max(target, first))
-        if member is None or member >= hi:
-            member = last_member(hi - 1, lo) or first
+        member = selection.member_from(max(target, first), hi - 1)
         # an end kept by two steps in a row has its level halved
         if admissible(member):
             hi, w_hi = member, 1.0
@@ -408,19 +392,19 @@ def _corrector_index_for(j: int, j_min: int, eta: float, eps_j: float) -> int:
     """Raise the corrector index until the corrector is invisible at depth
     eta: |psi - 1| <= 2 * 2^-idx / eta <= eps_j / 2."""
     if eta <= 0.0:
-        raise InterferenceBudgetExceeded(
+        raise PrecisionExhausted(
             f"stage {j} image compact reaches the boundary in binary64 "
             f"(eta = {eta!r}); no corrector index can be invisible there",
-            {"eta": eta},
+            eta, None, _MAX_CORRECTOR_INDEX,
         )
     adaptive = math.ceil(math.log2(4.0 / (eta * eps_j)))
     idx = max(j_min, j + j_min, adaptive)
     if idx > _MAX_CORRECTOR_INDEX:
-        raise InterferenceBudgetExceeded(
+        raise PrecisionExhausted(
             f"stage {j} needs corrector index {idx}, past the cap of "
             f"{_MAX_CORRECTOR_INDEX} that binary64 resolves; the image compact "
             f"is too close to the boundary (eta = {eta!r})",
-            {"eta": eta},
+            eta, idx, _MAX_CORRECTOR_INDEX,
         )
     return idx
 
@@ -524,17 +508,17 @@ def run_universality(config: EngineConfig) -> UniversalityRun:
                         config, lam, j, n_j, projected, images
                     )
                     break
-                except InterferenceBudgetExceeded as exc:
+                except InterferenceBudgetExceeded:
+                    # PrecisionExhausted is not escalated: at a deeper
+                    # index the image only moves closer to the circle
                     escalations += 1
-                    # an image on the circle or past the corrector cap
-                    # (both carry eta) only moves closer to the circle at a
-                    # deeper index
-                    if escalations > config.max_escalations or "eta" in exc.values:
+                    if escalations > config.max_escalations:
                         raise
                     search_floor = 4 * n_j
         except (
             SequenceExhausted,
             InterferenceBudgetExceeded,
+            PrecisionExhausted,
             ProjectionFailed,
             UnsupportedTargetShape,
             ValidityError,

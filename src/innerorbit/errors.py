@@ -93,6 +93,16 @@ class InterferenceBudgetExceeded(InnerOrbitError):
         super().__init__(message)
 
 
+class PrecisionExhausted(InnerOrbitError):
+    """A stage's image compact reaches depth ``eta``, too close to the
+    boundary for any corrector index up to ``cap``: it ``needed`` a larger
+    one, or none suffices (None)."""
+
+    def __init__(self, message: str, eta: float, needed: int | None, cap: int):
+        self.eta, self.needed, self.cap = eta, needed, cap
+        super().__init__(message)
+
+
 class ParseError(InnerOrbitError):
     """Function-DSL syntax error with position information."""
 

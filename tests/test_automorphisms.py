@@ -301,6 +301,14 @@ def _constant_sequence(n=1, theta=0.0):
     )
 
 
+def test_direction_near_the_circle_is_normalized():
+    # 5e-13 off the circle is accepted; kept as given, it would carry alpha
+    # off the disk at k = 3e12, long before 1 - rate/(k+1) rounds to 1
+    seq = GeneratedSequence((1 + 5e-13,), 1.0, ((0.0,),), ((0,),))
+    assert seq.direction == (1 + 0j,)
+    assert abs(seq.at(3_000_000_000_000).factors[0].alpha) < 1.0
+
+
 def test_generated_sequence_matches_formula():
     seq = _constant_sequence()
     phi = seq.at(9)
@@ -335,6 +343,78 @@ def test_select_alternating_permutations():
     assert sel.indices[:4] == (2, 4, 6, 8)
     assert sel.contains(100) and not sel.contains(101)
     assert sel.next_member(101) == 102
+
+
+def _brute_members(sel, seq, angle_tol, ks):
+    """The indices in ``ks`` whose automorphism has the selection's
+    permutation and falls in the angle cell of its first index."""
+    def key(phi):
+        cells = [math.floor((f.theta + math.pi) / angle_tol) for f in phi.factors]
+        return phi.perm, cells
+    cell = key(seq.at(sel.indices[0]))
+    return [k for k in ks if key(seq.at(k)) == cell]
+
+
+ANGLES = (0.0, 0.05, 0.1, 1.0, 2.0, -3.0, 3.1)
+
+
+@st.composite
+def membership_cases(draw):
+    """(sequence, angle_tol, window starts): generated schedules of period
+    1 to 300, or explicit sequences of 3 to 40 automorphisms."""
+    angle_tol = draw(st.sampled_from((0.01, math.pi / 16, 0.5)))
+    angle, perm = st.sampled_from(ANGLES), st.sampled_from(((0, 1), (1, 0)))
+    if draw(st.booleans()):
+        thetas = draw(st.lists(st.tuples(angle, angle), min_size=1, max_size=100))
+        perm_cycle = draw(st.lists(perm, min_size=1, max_size=3))
+        seq = GeneratedSequence((1.0 + 0j, 1.0 + 0j), draw(st.floats(0.5, 1.0)),
+                                tuple(thetas), tuple(perm_cycle))
+        return seq, angle_tol, (1, draw(st.integers(2, 10**12)))
+    autos = [
+        PolydiskAutomorphism(
+            (MobiusFactor(0.99, draw(angle)), MobiusFactor(0.99, draw(angle))),
+            draw(perm),
+        )
+        for _ in range(draw(st.integers(3, 40)))
+    ]
+    return ExplicitSequence(autos), angle_tol, (1,)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=membership_cases(), data=st.data())
+def test_membership_queries_match_brute_force_without_evaluating(case, data):
+    seq, angle_tol, starts = case
+    sel = select_subsequence(seq, 64, angle_tol)
+    length = seq.length
+    if length is None:
+        # three periods and a bit: a query from the first period, or a
+        # bound past it, finds its member inside the window
+        span = seq.period
+        windows = [range(start, start + 3 * span + 2) for start in starts]
+    else:  # the whole sequence, and indices on either side of it
+        span = length + 2
+        windows = [range(-1, length + 6)]
+    members = [_brute_members(sel, seq, angle_tol,
+                              [k for k in ks if 1 <= k <= (length or k)])
+               for ks in windows]
+
+    def refuse(k):
+        raise AssertionError(f"membership evaluated the sequence at {k}")
+
+    seq.at = refuse
+    for ks, found in zip(windows, members):
+        assert [k for k in ks if sel.contains(k)] == found
+        starts_at_one = ks[0] <= 1
+        for k in ks[: span + 1]:
+            after = [m for m in found if m >= k]
+            assert sel.next_member(k) == (after[0] if after else None)
+        for _ in range(20):
+            k = data.draw(st.sampled_from(ks[: span + 1]))
+            top = data.draw(st.sampled_from(ks if starts_at_one else ks[span:]))
+            first = [m for m in found if k <= m <= top]
+            below = [m for m in found if m <= top]
+            expected = first[0] if first else (below[-1] if below else None)
+            assert sel.member_from(k, top) == expected
 
 
 def test_select_no_boundary_convergence():

@@ -319,7 +319,7 @@ def test_image_on_the_circle_exits_two_with_partial_report(tmp_path):
     results = json.loads((out / "report.json").read_text())["results"]
     assert len(results["recorded_indices"]) == 2
     assert results["failure"]["stage"] == 3
-    assert results["failure"]["error"] == "InterferenceBudgetExceeded"
+    assert results["failure"]["error"] == "PrecisionExhausted"
 
 
 def test_index_past_binary64_resolution_keeps_completed_stages(tmp_path):
@@ -341,6 +341,24 @@ def test_index_past_binary64_resolution_keeps_completed_stages(tmp_path):
     assert named
     k = int(named[1])
     assert k > 198_097_500 and 1.0 - 1.0 / (k + 1.0) == 1.0
+
+
+def test_doubling_step_past_k_max_tries_the_last_member(tmp_path):
+    # stage 2's doubling step past k_max lands on k ~ 1.8e16, where the
+    # sequence has no automorphism; the search tries the last member up to
+    # k_max instead, so the run names the k_max it could not meet
+    text = N1_CONFIG.replace(
+        "k_max = 1000000000", "k_max = 15000000000000000\ndelta = 1e-7")
+    cfg_path = _write(tmp_path, "bounded.ini", text)
+    out = tmp_path / "out"
+    assert run_cli(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == 2
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert results["recorded_indices"] == [198_097_500]
+    failure = results["failure"]
+    assert failure["stage"] == 2
+    assert failure["error"] == "SequenceExhausted"
+    assert failure["message"].startswith(
+        "no admissible index within k_max=15000000000000000 at stage 2")
 
 
 ALLOCATOR_PROBE = """\

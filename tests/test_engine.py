@@ -27,8 +27,8 @@ from innerorbit import (
 from innerorbit import engine
 from innerorbit.engine import _corrector_index_for, stage_condition_values
 from innerorbit.errors import (
-    InterferenceBudgetExceeded,
     NoBoundaryConvergence,
+    PrecisionExhausted,
     SequenceExhausted,
     UnsupportedTargetShape,
     ValidityError,
@@ -571,8 +571,10 @@ def test_run_two_targets_n4():
 
 def test_corrector_index_refuses_image_on_the_circle():
     for eta in (0.0, -2.0**-53):
-        with pytest.raises(InterferenceBudgetExceeded, match="stage 3.*eta"):
+        with pytest.raises(PrecisionExhausted, match="stage 3.*eta") as caught:
             _corrector_index_for(3, 12, eta, 0.05 / 8)
+        assert (caught.value.eta, caught.value.needed, caught.value.cap) == (
+            eta, None, 48)
 
 
 def test_corrector_cap_ends_as_partial_run(monkeypatch):
@@ -597,5 +599,5 @@ def test_corrector_cap_ends_as_partial_run(monkeypatch):
     assert len(run.stages) == 2
     assert stages.count(3) == 1
     assert run.failure["stage"] == 3
-    assert run.failure["error"] == "InterferenceBudgetExceeded"
+    assert run.failure["error"] == "PrecisionExhausted"
     assert "past the cap of 48" in run.failure["message"]

@@ -124,10 +124,13 @@ def step_curve(crossing, before, after):
 def run_search(monkeypatch, search, selection, value, floor, k_max, carrier="b"):
     """Run ``search`` on the values ``value(k)`` (the larger condition; the
     other is half of it). Returns its outcome, a result tuple or the
-    SequenceExhausted message, and its probed indices in order."""
+    SequenceExhausted message, and its probed indices in order. Each probe
+    first builds the automorphism at k, as ``stage_condition_values`` does,
+    so an index the sequence cannot represent is refused there."""
     probes = []
 
     def synthetic(seq, axes, factors, projected, k):
+        seq.at(k)
         probes.append(k)
         g = value(k)
         return ((g,), 0.5 * g) if carrier == "a" else ((0.5 * g,), g)
@@ -190,9 +193,14 @@ def test_search_matches_reference_within_probe_budget(monkeypatch, case):
 
 
 def sparse_selection(period):
-    """One member every ``period`` indices (1, 1 + period, ...): the angles
-    0, 0.4, 0.8, ... of the cycle each fall in a cell of their own."""
-    return selection_for(tuple((0.4 * i,) for i in range(period)))
+    """One member every ``period`` indices (1, 1 + period, ...): at
+    angle_tol 0.01 the angles 0, 0.02, 0.04, ... of the cycle each fall in
+    a cell of their own."""
+    seq = GeneratedSequence(
+        direction=(1.0 + 0j,), rate=1.0,
+        theta_cycle=tuple((0.02 * i,) for i in range(period)), perm_cycle=((0,),),
+    )
+    return select_subsequence(seq, 64, 0.01)
 
 
 def smallest_admissible_member(value, period, floor, k_max):
@@ -207,13 +215,16 @@ def smallest_admissible_member(value, period, floor, k_max):
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(period=st.integers(4, 11), case=search_cases())
+@given(period=st.one_of(st.integers(4, 11), st.integers(65, 300)),
+       case=search_cases())
 def test_sparse_members_search_finds_smallest_admissible_member(
     monkeypatch, period, case
 ):
     # members 4 to 11 indices apart let a doubling step land on the member
     # the lower end already holds; the reference's bisection skips members
-    # in such gaps, so the oracle here is the member list itself
+    # in such gaps, so the oracle here is the member list itself. Members
+    # 65 to 300 apart put the last member up to a bound more than 64
+    # indices below it
     _, value, floor, k_max, carrier = case
     selection = sparse_selection(period)
     assert [k for k in range(1, 3 * period + 2) if selection.contains(k)] == [
@@ -226,6 +237,16 @@ def test_sparse_members_search_finds_smallest_admissible_member(
     else:
         assert not isinstance(got, str) and got[0] == expected
     assert len(probes) <= probe_budget(floor, k_max)
+
+
+def test_last_member_below_k_max_is_found_across_a_long_gap(monkeypatch):
+    # members 1, 101, ..., 999 001 are 100 apart; only 999 001 is admissible
+    # up to k_max, and the doubling steps pass k_max before reaching it
+    selection, k_max = sparse_selection(100), 999_071
+    got, probes = run_search(monkeypatch, engine.choose_stage_index, selection,
+                             step_curve(999_001, 2 * TOL, 0.5 * TOL), 0, k_max)
+    assert not isinstance(got, str) and got[0] == 999_001
+    assert len(probes) <= probe_budget(0, k_max)
 
 
 @pytest.mark.parametrize("theta_cycle", THETA_CYCLES)
@@ -312,16 +333,16 @@ def test_jump_past_representable_indices_retries_at_doubling(monkeypatch):
     # the search must go on doubling to the crossing far below
     selection = selection_for(THETA_CYCLES[0])
     unrepresentable = []
-    contains = type(selection).contains
+    at = GeneratedSequence.at
 
-    def recording_contains(self, k):
+    def recording_at(self, k):
         try:
-            return contains(self, k)
+            return at(self, k)
         except ValidityError:
             unrepresentable.append(k)
             raise
 
-    monkeypatch.setattr(type(selection), "contains", recording_contains)
+    monkeypatch.setattr(GeneratedSequence, "at", recording_at)
     value = power_curve(10**6, 1.0, saturation=0.5)
     got, expected, probes, _ = search_both(monkeypatch, selection, value, 0, 10**20)
     assert unrepresentable

@@ -4,12 +4,15 @@
     python3 tools/corpus.py OUT_DIR
 
 Run from anywhere; the program and the benchmark's config generators are
-imported from this checkout. The corpus is 315 runs:
+imported from this checkout. The corpus is 375 runs:
 
 - the three ``configs/*.ini``, under ``OUT_DIR/configs/<name>/``;
 - the benchmark shapes ``n1_two``, ``n2_swap``, ``n1_three`` and
   ``n3_two`` of ``perfbench/workloads.py`` for seeds 0-39, under
   ``OUT_DIR/<shape>_s<seed>/``;
+- for seeds 0-9, three shapes with non-constant schedules derived from
+  those configs' text (``n1_cycle``, ``n2_permcycle``, ``n1_sparse``
+  below), so that report comparisons exercise subsequence membership;
 - a ``verify-orbit`` at the recorded indices of each construction that
   exits 0, under ``OUT_DIR/<label>_verify/``;
 - for seeds 0-4, the runs of one ``diagnose`` and one ``orbit-sweep``
@@ -36,8 +39,38 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from innerorbit import cli  # noqa: E402
 import workloads as wl  # noqa: E402
 
+
+def _replaced(text: str, old: str, new: str) -> str:
+    assert old in text, f"{old!r} not in the generated config"
+    return text.replace(old, new)
+
+
+def n1_cycle(inputs: wl.Inputs) -> str:
+    """``n1_two`` with the angle cycle 0, 0, 2: members are two of every
+    three indices."""
+    return _replaced(wl.n1_two(inputs), "theta = 0.0\n", "theta = 0.0|0.0|2.0\n")
+
+
+def n2_permcycle(inputs: wl.Inputs) -> str:
+    """``n2_swap`` with the permutation cycle swap, identity, swap."""
+    return _replaced(wl.n2_swap(inputs), "perm = 2,1\n", "perm = 2,1|1,2|2,1\n")
+
+
+def n1_sparse(inputs: wl.Inputs) -> str:
+    """``n1_two`` with a period-1 000 angle cycle: 40 zeros, then 960 angles
+    +-(0.3 + (i mod 30) * 0.19) of alternating sign, none in the zeros'
+    cell, so members come 40 to a period."""
+    angles = ["0.0"] * 40 + [f"{(-1) ** i * (0.3 + (i % 30) * 0.19):.2f}"
+                             for i in range(960)]
+    cycle = "|".join(angles)
+    return _replaced(wl.n1_two(inputs), "theta = 0.0\n", f"theta = {cycle}\n")
+
+
 SHAPES = (wl.n1_two, wl.n2_swap, wl.n1_three, wl.n3_two)
 SEEDS = range(40)
+#: shapes with non-constant schedules, and their seeds
+CYCLE_SHAPES = (n1_cycle, n2_permcycle, n1_sparse)
+CYCLE_SEEDS = range(10)
 #: seeds whose products also run the diagnose and orbit-sweep modes
 MODE_SEEDS = range(5)
 
@@ -92,15 +125,16 @@ def run_corpus(out_root: Path) -> Counter:
         text = config.read_text(encoding="utf-8")
         if code == 0 and "mode = construct-universal" in text:
             _verify(out_root / "configs", config.stem, text, out, tally)
-    for shape in SHAPES:
-        for seed in SEEDS:
-            label = f"{shape.__name__}_s{seed}"
-            text = shape(wl.Inputs.from_seed(seed))
-            run = wl.make_run(out_root, label, text)
-            code = _run(run.config, run.out)
-            tally[code] += 1
-            if code == 0:
-                _verify(out_root, label, text, run.out, tally)
+    runs = [(shape, seed) for shape in SHAPES for seed in SEEDS]
+    runs += [(shape, seed) for shape in CYCLE_SHAPES for seed in CYCLE_SEEDS]
+    for shape, seed in runs:
+        label = f"{shape.__name__}_s{seed}"
+        text = shape(wl.Inputs.from_seed(seed))
+        run = wl.make_run(out_root, label, text)
+        code = _run(run.config, run.out)
+        tally[code] += 1
+        if code == 0:
+            _verify(out_root, label, text, run.out, tally)
     for seed in MODE_SEEDS:
         for label, text in _mode_runs(out_root, seed).items():
             run = wl.make_run(out_root, label, text)
