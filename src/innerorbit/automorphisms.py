@@ -80,19 +80,6 @@ class MobiusFactor:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "theta", normalize_angle(self.theta))
 
-    @classmethod
-    def from_rotated_numerator(cls, alpha: complex, lam: complex) -> "MobiusFactor":
-        """Convert the variant form (alpha - lam*z)/(1 - conj(alpha) lam z).
-
-        Requires |lam| = 1. Same group, different placement of the
-        unimodular constant; the canonical parameters are
-        alpha' = alpha * conj(lam), theta' = arg(lam).
-        """
-        lam = complex(lam)
-        if abs(abs(lam) - 1.0) > 1e-12:
-            raise ValidityError("rotation constant must be unimodular")
-        return cls(alpha=alpha * lam.conjugate(), theta=cmath.phase(lam))
-
     @property
     def phase(self) -> complex:
         return cmath.exp(1j * self.theta)

@@ -549,7 +549,6 @@ def _mode_construct(cfg: RunConfig, out_dir: Path):
                 "condition_b": s.condition_b,
                 "retro_interference": list(s.retro_interference),
                 "roundtrip_error": s.roundtrip_error,
-                "escalations": s.escalations,
                 "factor_expression": serialize_function(s.factor.product),
             }
         )
@@ -564,7 +563,6 @@ def _mode_construct(cfg: RunConfig, out_dir: Path):
                 max(s.condition_a) if s.condition_a else 0.0,
                 max(s.retro_interference) if s.retro_interference else 0.0,
                 s.roundtrip_error,
-                s.escalations,
             ]
         )
     write_csv(
@@ -572,7 +570,7 @@ def _mode_construct(cfg: RunConfig, out_dir: Path):
         [
             "stage", "chosen_index", "corrector_index", "fidelity",
             "projection_error", "condition_b", "condition_a_max",
-            "retro_max", "roundtrip_error", "escalations",
+            "retro_max", "roundtrip_error",
         ],
         stage_rows,
     )

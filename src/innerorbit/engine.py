@@ -10,12 +10,14 @@ family, and builds one pin-lambda factor per target:
     previous one such that every earlier factor composed with phi_{n_j} is
     within delta * 2^-j of the constant 1 on the probe, and the projected
     target composed with phi_{n_j}^{-1} is too;
-  - the factor x_j pulls the projected target's approximant back through
+  - the factor x_j pulls the projected target's approximant A back through
     phi_{n_j}^{-1} (exact in the Blaschke class) and re-pins it at lambda
     with a corrector whose index is raised until it is invisible at the
     depth the image phi_{n_j}(probe) reaches toward the boundary;
-  - a retroactive check bounds |x_j - 1| on all earlier image compacts,
-    escalating the index search on failure.
+  - a retroactive check bounds |x_j - 1| on all earlier image compacts.
+    There x_j tends to A(gamma) as n_j grows, so a stage with |A(gamma) - 1|
+    past the budget fails before searching, and one whose factor fails the
+    check searches once more, with bounds that imply the check.
 
 The final product x = x_1 * ... * x_J is inner, continuous on the closed
 polydisk, and its orbit x o phi_{n_j} lands within epsilon_j + delta +
@@ -25,6 +27,7 @@ projection tolerance of target j on the probe.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -37,11 +40,11 @@ from .automorphisms import (
     transform_batch,
 )
 from .errors import (
+    InnerOrbitError,
     InterferenceBudgetExceeded,
     PrecisionExhausted,
     ProjectionFailed,
     SequenceExhausted,
-    UnsupportedTargetShape,
     ValidityError,
 )
 from .geometry import CLOSURE_TOL, CompactProbe, PointAxes, TorusPoint, probe_sup
@@ -94,7 +97,6 @@ class EngineConfig:
     selection_horizon: int = 64
     angle_tol: float = math.pi / 16.0
     boundary_tol: float = 0.05
-    max_escalations: int = 5
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
@@ -131,7 +133,6 @@ class StageRecord:
     condition_b: float
     retro_interference: tuple
     roundtrip_error: float
-    escalations: int
 
 
 @dataclass
@@ -239,6 +240,29 @@ def stage_condition_values(
     return conds_a, cond_b
 
 
+def retro_condition_values(seq, axes: PointAxes, images, approximant, eps_j, k):
+    """Per earlier image compact in ``images``, a bound on |x - 1| there for
+    the factor x that ``build_factor`` makes at index k from ``approximant``
+    A: sup |A o phi_k^{-1} - 1| on the image, plus eps_j * eta / (2 * eta_i)
+    for the lambda-corrector psi, as |psi - 1| <= 2 * 2^-idx / eta_i at
+    depth eta_i (``make_corrector``) and idx >= log2(4 / (eta * eps_j)) at
+    the depth eta of phi_k(probe) (``_corrector_index_for``). As |psi| <= 1,
+    values within the budget imply the retroactive check, up to rounding."""
+    phi = seq.at(k)
+    eta = _depth(phi.transform(axes))
+    inverse = auto_inverse(phi)
+    return tuple(
+        float(np.max(np.abs(approximant._eval(inverse.transform(img)) - 1.0)))
+        + eps_j * eta / (2.0 * _depth(img))
+        for img in images
+    )
+
+
+def _depth(points: PointAxes) -> float:
+    """min over ``points`` of 1 - |z_1|, the distance of z_1 from the circle."""
+    return float(np.min(1.0 - np.abs(points.coords[0])))
+
+
 def choose_stage_index(
     selection: SubsequenceSelection,
     axes: PointAxes,
@@ -248,10 +272,13 @@ def choose_stage_index(
     floor: int,
     delta: float,
     k_max: int,
+    retro=None,
 ):
     """Smallest admissible subsequence index above ``floor``, with both
     conditions measured on the probe grid ``axes``; returns (index, the
-    per-factor condition a values, condition b) at that index.
+    per-factor condition a values, condition b) at that index. ``retro``, if
+    given, maps an index to values that count with condition a but are not
+    returned (``retro_condition_values``).
 
     Both conditions contract as the parameters approach the boundary, close
     to a power law in k + 1, so the search predicts where the larger of
@@ -287,22 +314,24 @@ def choose_stage_index(
     tol = delta * math.ldexp(1.0, -j)
     best = {"index": None, "condition_a": math.inf, "condition_b": math.inf}
     probed = {}
+    extra = {}  # index -> the values of ``retro`` there
 
     def admissible(k: int) -> bool:
         if k not in probed:
             conds, b = stage_condition_values(seq, axes, factors, projected, k)
             probed[k] = (k, conds, b)
+            extra[k] = retro(k) if retro else ()
             a = max((0.0, *conds))
             if max(a, b) < max(best["condition_a"], best["condition_b"]):
                 best.update({"index": k, "condition_a": a, "condition_b": b})
         _, conds, b = probed[k]
-        return max((0.0, *conds)) <= tol and b <= tol
+        return max((0.0, *conds, *extra[k])) <= tol and b <= tol
 
     def level(k: int):
         # log(value / tol) of a probed index, None where no power law
         # passes through its value (zero or not finite)
         _, conds, b = probed[k]
-        values = (*conds, b)
+        values = (*conds, b, *extra[k])
         if not all(map(math.isfinite, values)) or max(values) <= 0.0:
             return None
         return math.log(max(values) / tol)
@@ -420,10 +449,11 @@ def build_factor(
     """Pin-lambda factor for stage j at index n_j.
 
     The approximant is the exact pullback of the projected target's
-    approximant through phi_{n_j}^{-1}; the projected target's own corrector
-    is not pulled back (it is within (1+r)/(1-r)*2^-index of 1 on the probe
-    already, and its pullback would swing wildly near lambda). Retroactive
-    interference on earlier image compacts is checked, not assumed.
+    approximant A through phi_{n_j}^{-1}; the projected target's own
+    corrector is not pulled back (it is within (1+r)/(1-r)*2^-index of 1 on
+    the probe already, and its pullback would swing wildly near lambda), so
+    on earlier image compacts the factor tends to A(gamma) as n_j grows. Its
+    interference there is checked, not assumed, and raises past the budget.
     """
     seq = config.sequence
     axes = config.probe.axes()
@@ -431,7 +461,7 @@ def build_factor(
     image = phi.transform(axes)
 
     pulled = pullback(projected.approximant, auto_inverse(phi))
-    eta = float(np.min(1.0 - np.abs(image.coords[0])))
+    eta = _depth(image)
     eps_j = config.stage_tolerance(j)
     idx = _corrector_index_for(j, config.j_min, eta, eps_j)
     factor = make_generating_element(idx, lam, pulled)
@@ -463,8 +493,8 @@ def build_factor(
 def run_universality(config: EngineConfig) -> UniversalityRun:
     """Execute all stages; deterministic for a fixed config.
 
-    Selection failures raise; stage failures return a partial run with a
-    failure annotation.
+    Selection failures raise; an ``InnerOrbitError`` within a stage returns
+    a partial run with a failure annotation.
     """
     validate_targets(config)
     selection = select_subsequence(
@@ -496,33 +526,28 @@ def run_universality(config: EngineConfig) -> UniversalityRun:
                 target, gamma, j + config.j_min, eps_j / 2.0, config.probe,
                 config.schur_depth,
             )
-            escalations = 0
-            search_floor = floor
-            while True:
-                n_j, conds_a, cond_b = choose_stage_index(
-                    selection, axes, [x.product for x in factors],
-                    projected.product, j, search_floor, config.delta, config.k_max,
+            budget = config.delta * math.ldexp(1.0, -j)
+            limit = abs(projected.approximant.eval(gamma) - 1.0) if images else 0.0
+            if limit > budget:
+                raise InterferenceBudgetExceeded(
+                    f"stage {j} factor tends to |A(gamma) - 1| = {limit:.3e} "
+                    f"on earlier images, beyond {budget:.3e} at every index",
+                    {"limit": limit, "budget": budget},
                 )
-                try:
-                    factor, idx, image, retro, fidelity = build_factor(
-                        config, lam, j, n_j, projected, images
-                    )
-                    break
-                except InterferenceBudgetExceeded:
-                    # PrecisionExhausted is not escalated: at a deeper
-                    # index the image only moves closer to the circle
-                    escalations += 1
-                    if escalations > config.max_escalations:
-                        raise
-                    search_floor = 4 * n_j
-        except (
-            SequenceExhausted,
-            InterferenceBudgetExceeded,
-            PrecisionExhausted,
-            ProjectionFailed,
-            UnsupportedTargetShape,
-            ValidityError,
-        ) as exc:
+            search = functools.partial(
+                choose_stage_index, selection, axes, [x.product for x in factors],
+                projected.product, j, delta=config.delta, k_max=config.k_max,
+            )
+            n_j, conds_a, cond_b = search(floor)
+            try:
+                built = build_factor(config, lam, j, n_j, projected, images)
+            except InterferenceBudgetExceeded:
+                bounds = functools.partial(retro_condition_values, seq, axes, images,
+                                           projected.approximant, eps_j)
+                n_j, conds_a, cond_b = search(n_j, retro=bounds)
+                built = build_factor(config, lam, j, n_j, projected, images)
+            factor, idx, image, retro, fidelity = built
+        except InnerOrbitError as exc:
             run.failure = {
                 "stage": j,
                 "error": type(exc).__name__,
@@ -553,7 +578,6 @@ def run_universality(config: EngineConfig) -> UniversalityRun:
                 condition_b=cond_b,
                 retro_interference=retro,
                 roundtrip_error=roundtrip,
-                escalations=escalations,
             )
         )
         factors.append(factor)

@@ -86,7 +86,6 @@ class RadialReport:
 
     radii: tuple
     deviations: tuple
-    angles_per_dim: int
 
 
 def radial_modulus_report(
@@ -107,9 +106,7 @@ def radial_modulus_report(
             vals = f._eval(block)
             worst = max(worst, float(np.max(np.abs(1.0 - np.abs(vals)))))
         deviations.append(worst)
-    return RadialReport(
-        radii=radii, deviations=tuple(deviations), angles_per_dim=angles_per_dim
-    )
+    return RadialReport(radii=radii, deviations=tuple(deviations))
 
 
 def good_inner_integral_detail(
@@ -177,9 +174,6 @@ class GoodInnerReport:
     radii: tuple
     values: tuple
     clamp_counts: tuple
-    clamp_level: float
-    quad_points: int
-    tolerance: float
     passed: bool
 
 
@@ -210,9 +204,6 @@ def good_inner_trend(
         radii=radii,
         values=tuple(values),
         clamp_counts=tuple(counts),
-        clamp_level=float(clamp),
-        quad_points=int(quad_points),
-        tolerance=float(tolerance),
         passed=passed,
     )
 

@@ -93,15 +93,6 @@ def test_boundary_preservation():
         assert np.max(np.abs(np.abs(f(pts)) - 1.0)) < 1e-12
 
 
-def test_rotated_numerator_conversion():
-    # (alpha - lam z)/(1 - conj(alpha) lam z) in canonical clothes
-    alpha, lam = 0.4 + 0.1j, cmath.exp(0.7j)
-    f = MobiusFactor.from_rotated_numerator(alpha, lam)
-    z = 0.35 - 0.2j
-    direct = (alpha - lam * z) / (1 - alpha.conjugate() * lam * z)
-    assert f(z) == pytest.approx(direct, abs=1e-14)
-
-
 # ---------------------------------------------------------------------------
 # automorphisms
 

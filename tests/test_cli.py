@@ -14,7 +14,7 @@ import pytest
 
 import innerorbit
 
-from innerorbit import EngineConfig
+from innerorbit import EngineConfig, engine
 from innerorbit.cli import (
     _RUN,
     _schema,
@@ -23,7 +23,7 @@ from innerorbit.cli import (
     run_cli,
     serialize_config,
 )
-from innerorbit.errors import ConfigError
+from innerorbit.errors import ConfigError, PoleHit
 
 N1_CONFIG = """\
 [run]
@@ -207,6 +207,54 @@ def test_engine_failure_writes_partial_report_exit_two(tmp_path):
         "SequenceExhausted",
         "InterferenceBudgetExceeded",
     )
+
+
+def test_any_library_error_in_a_stage_keeps_completed_stages(tmp_path, monkeypatch):
+    build_factor = engine.build_factor
+
+    def pole_at_stage_two(config, lam, j, *args):
+        if j == 2:
+            raise PoleHit("denominator vanished")
+        return build_factor(config, lam, j, *args)
+
+    monkeypatch.setattr(engine, "build_factor", pole_at_stage_two)
+    cfg_path = _write(tmp_path, "n1.ini", N1_CONFIG)
+    out = tmp_path / "out"
+    assert run_cli(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == 2
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert results["failure"] == {
+        "stage": 2, "error": "PoleHit", "message": "denominator vanished"}
+    assert len(results["stages"]) == 1
+    assert results["recorded_indices"] == [results["stages"][0]["chosen_index"]]
+
+
+def test_stage_beyond_its_interference_limit_fails_before_searching(
+        tmp_path, monkeypatch):
+    # on the stage-1 image, x_2 tends to A(gamma) = 0.5+0.05i at every
+    # index: |A(gamma) - 1| = 6.7e-2 against a budget of 2.5e-3
+    searched = []
+    choose_stage_index = engine.choose_stage_index
+
+    def counted(selection, axes, factors, projected, j, *args, **kwargs):
+        searched.append(j)
+        return choose_stage_index(selection, axes, factors, projected, j,
+                                  *args, **kwargs)
+
+    monkeypatch.setattr(engine, "choose_stage_index", counted)
+    text = N1_CONFIG.replace("f1 = const 0.5+0i\nf2 = z[1]",
+                             "f1 = z[1]\nf2 = const 0.5+0.05i")
+    cfg_path = _write(tmp_path, "hopeless.ini", text)
+    out = tmp_path / "out"
+    assert run_cli(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == 2
+    assert searched == [1]
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert results["recorded_indices"] == [371]
+    assert results["failure"] == {
+        "stage": 2,
+        "error": "InterferenceBudgetExceeded",
+        "message": "stage 2 factor tends to |A(gamma) - 1| = 6.663e-02 on earlier "
+                   "images, beyond 2.500e-03 at every index",
+    }
 
 
 def test_verify_orbit_reproduces_report(tmp_path):
@@ -448,6 +496,9 @@ def test_unknown_key_exits_one(tmp_path, capsys):
     assert "k_max" in error["message"]
     with pytest.raises(ConfigError, match="unknown key 'radious' in \\[probe\\]"):
         load_config(_write(tmp_path, "p.ini", N1_CONFIG.replace("radius", "radious")))
+    with pytest.raises(ConfigError, match="unknown key 'max_escalations' in"):
+        load_config(_write(tmp_path, "e.ini", N1_CONFIG.replace(
+            "k_max = 1000000000", "max_escalations = 5")))
 
 
 def test_unknown_section_exits_one(tmp_path, capsys):

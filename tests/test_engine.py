@@ -27,6 +27,7 @@ from innerorbit import (
 from innerorbit import engine
 from innerorbit.engine import _corrector_index_for, stage_condition_values
 from innerorbit.errors import (
+    InterferenceBudgetExceeded,
     NoBoundaryConvergence,
     PrecisionExhausted,
     SequenceExhausted,
@@ -131,7 +132,6 @@ def test_choose_stage_index_returns_the_values_of_its_index():
     )
     run = run_universality(cfg)
     first, second = run.stages
-    assert second.escalations == 0
     factors = [first.factor.product]
     k, conds_a, cond_b = choose_stage_index(
         run.selection, probe.axes(), factors, second.projected.product, j=2,
@@ -143,6 +143,39 @@ def test_choose_stage_index_returns_the_values_of_its_index():
         seq, probe.axes(), factors, second.projected.product, k
     )
     assert (conds_a, cond_b) == (second.condition_a, second.condition_b)
+
+
+def test_re_search_lands_just_above_the_first_passing_index():
+    # z^3 after z^2: the factor built at the first stage-2 index fails the
+    # retroactive check, and the one search more, with bounds that imply
+    # the check among its conditions, lands at or just above the smallest
+    # index where build_factor passes, found here by bisection
+    seq = constant_sequence()
+    probe = CompactProbe.create(0.3, 1, 64)
+    targets = (Power(Coordinate(1, 1), 2), Power(Coordinate(1, 1), 3))
+    cfg = EngineConfig(sequence=seq, targets=targets, probe=probe, k_max=10**9)
+    run = run_universality(cfg)
+    first, second = run.stages
+    axes = probe.axes()
+    images = [seq.at(first.chosen_index).transform(axes)]
+    lo, _, _ = choose_stage_index(
+        run.selection, axes, [first.factor.product], second.projected.product, j=2,
+        floor=first.chosen_index, delta=cfg.delta, k_max=cfg.k_max,
+    )
+
+    def passes(k):
+        try:
+            engine.build_factor(cfg, run.selection.lam, 2, k, second.projected, images)
+        except InterferenceBudgetExceeded:
+            return False
+        return True
+
+    hi = second.chosen_index
+    assert not passes(lo) and passes(hi)
+    while hi - lo > 1:  # every index is a member
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    assert hi <= second.chosen_index <= 1.001 * hi
 
 
 def test_condition_b_contracts_with_index():

@@ -276,13 +276,6 @@ def test_corrector_pins_and_origin_value():
         assert abs(psi.eval((0.0,)) - (1 - 2.0**-j)) < 1e-12
 
 
-def test_corrector_near_one_on_compacts():
-    probe = CompactProbe.create(0.5, 1)
-    one = Constant(1.0, 1)
-    psi = make_corrector(20, 1.0, cmath.exp(0.7j), 1)
-    assert probe_sup(psi, one, probe) <= 4 * 2.0**-20
-
-
 def test_corrector_proximity_monotone_in_index():
     probe = CompactProbe.create(0.5, 1)
     one = Constant(1.0, 1)
@@ -320,6 +313,24 @@ def test_corrector_phase_hits_its_target_to_four_ulp(j, w):
     assert abs(_corrector_boundary_value(t, phi) - w) <= FOUR_ULP
     psi = make_corrector(j, 1.0, w, 1)
     assert abs(psi.eval((0.0,)) - t) <= FOUR_ULP
+
+
+@settings(max_examples=400, deadline=None)
+@given(j=st.integers(1, 48), depth=st.floats(-12.0, -0.001), angle=st.floats(-4.0, 4.0),
+       w=corrector_targets(), xi=st.sampled_from((1.0, -1.0, 1j, cmath.exp(0.3j))))
+def test_corrector_near_one_on_compacts(j, depth, angle, w, xi):
+    # |psi(z) - 1| <= 2^-j (1 + |z|)/(1 - |z|), the bound the engine's
+    # retroactive condition puts on the lambda-corrector, at depths
+    # 1 - |z| down to 1e-12; the second point is where psi takes the circle
+    # |z| = r farthest from 1, the bound's limit as j grows. The slack is
+    # that of psi(0), 1 - 2^-j within four ulp
+    psi = make_corrector(j, xi, w, 1)
+    r, t = 1.0 - 10.0**depth, 1.0 - 2.0**-j
+    farthest = psi.factor.inverse()((t - r) / (1.0 - t * r))
+    for z in (r * cmath.exp(1j * angle), farthest):
+        m = abs(z)
+        bound = (2.0**-j + FOUR_ULP) * (1.0 + m) / (1.0 - m)
+        assert abs(psi.eval((z,)) - 1.0) <= bound
 
 
 # ---------------------------------------------------------------------------
