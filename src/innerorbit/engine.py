@@ -207,7 +207,7 @@ def project_to_family(
     j: int,
     tol: float,
     probe: CompactProbe,
-    depth: int = 16,
+    depth: int,
 ) -> tuple[GeneratingElement, float]:
     """Project a ball function onto the pinned generating family; returns
     (element, probe sup of element - f).
@@ -460,10 +460,9 @@ def build_factor(
     phi = seq.at(n_j)
     image = phi.transform(axes)
 
-    pulled = pullback(projected.approximant, auto_inverse(phi))
-    eta = _depth(image)
     eps_j = config.stage_tolerance(j)
-    idx = _corrector_index_for(j, config.j_min, eta, eps_j)
+    idx = _corrector_index_for(j, config.j_min, _depth(image), eps_j)
+    pulled = pullback(projected.approximant, auto_inverse(phi))
     factor = make_generating_element(idx, lam, pulled)
 
     budget = config.delta * math.ldexp(1.0, -j)

@@ -214,39 +214,34 @@ def good_inner_trend(
 _SCHUR_BOUNDARY = 1.0 - 1e-12
 
 
-def _series_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Power-series quotient to the length of num; den[0] must be nonzero."""
-    out = np.empty_like(num)
-    for i in range(len(num)):
-        acc = num[i]
-        upper = min(i, len(den) - 1)
-        if upper:
-            acc = acc - np.dot(out[i - upper : i][::-1], den[1 : upper + 1])
-        out[i] = acc / den[0]
-    return out
-
-
 def schur_parameters(coeffs, depth: int):
     """Run the Schur recursion gamma_k = f_k(0),
     f_{k+1} = (f_k - gamma_k) / (z (1 - conj(gamma_k) f_k)) in coefficient
     arithmetic. Raises SchurParameterOutOfDisk at the first parameter on the
-    unit circle."""
-    cur = np.asarray(coeffs, dtype=complex).copy()
+    unit circle.
+
+    f_k is kept as a quotient p_k / q_k of two series, starting from
+    p_0 = coeffs and q_0 = 1, so no series is divided:
+    gamma_k = p_k[0] / q_k[0], p_{k+1} = (p_k - gamma_k q_k) / z and
+    q_{k+1} = q_k - conj(gamma_k) p_k, each cut to the coefficients later
+    steps read. q_k[0] = prod_{i<k} (1 - |gamma_i|^2) is at least (2e-12)^k,
+    as every |gamma_i| < 1 - 1e-12; so it does not underflow below depth 26,
+    and the engine's depth is 16.
+    """
     if depth < 1:
         raise ValidityError("depth must be >= 1")
-    if len(cur) < depth + 1:
+    if len(coeffs) < depth + 1:
         raise ValidityError("need at least depth+1 coefficients")
+    p = np.array(coeffs[: depth + 1], dtype=complex)
+    q = np.zeros_like(p)
+    q[0] = 1.0
     gammas = []
     for k in range(depth):
-        gamma = complex(cur[0])
+        gamma = complex(p[0] / q[0])
         if abs(gamma) >= _SCHUR_BOUNDARY:
             raise SchurParameterOutOfDisk(step=k, parameter=gamma)
         gammas.append(gamma)
-        num = cur.copy()
-        num[0] = 0.0
-        den = -np.conjugate(gamma) * cur
-        den[0] += 1.0
-        cur = _series_div(num[1:], den[: len(num) - 1])
+        p, q = (p - gamma * q)[1:], (q - gamma.conjugate() * p)[:-1]
     return gammas
 
 
@@ -365,7 +360,10 @@ def make_corrector(
     Returns Psi(z) = psi(conj(xi) z_1) where psi is the Moebius factor with
     psi(0) = 1 - 2^-j (real positive) and psi(1) = w; the rotation is folded
     into the factor so Psi is a single Blaschke node. Psi tends to 1
-    uniformly on compacts as j grows: |psi(z) - 1| <= 2^-j (1+|z|)/(1-|z|).
+    uniformly on compacts as j grows: |psi(z) - 1| <= 2^-j (1+|z|)/(1-|z|)
+    in exact arithmetic. In binary64 the stored zero's 1 - |alpha| is off
+    2^-j by about an ulp of 1, so the bound holds with 2^-j plus a few ulp
+    of 1 in place of 2^-j (``test_corrector_near_one_on_compacts`` allows 4).
     """
     if j < 1:
         raise ValidityError("corrector index must be >= 1")
@@ -444,10 +442,11 @@ def make_generating_element(
     if approximant.dimension != pin.dimension:
         raise ValidityError("approximant and pin dimensions differ")
     value = approximant.eval(pin)
+    noise = _pin_noise_bound(approximant, pin)
     tol = 1e-9
     if is_blaschke_type(approximant):
         # |A(pin)| = 1 holds structurally; allow honest evaluation noise
-        tol = max(tol, 16.0 * _pin_noise_bound(approximant, pin))
+        tol = max(tol, 16.0 * noise)
     if abs(abs(value) - 1.0) > tol:
         raise PinNotUnimodular(
             f"|A(pin)| = {abs(value):.17g} deviates from 1 beyond {tol:.3e}"
@@ -455,15 +454,15 @@ def make_generating_element(
     w = value.conjugate() / abs(value)
     w /= abs(w)
     corrector = make_corrector(j, pin.coords[0], w, approximant.dimension)
-    element = GeneratingElement(
+    # the noise bound of the product A * Psi is the sum of its children's
+    residual = abs(value * corrector.eval(pin) - 1.0)
+    guard = max(1e-9, 32.0 * (noise + _pin_noise_bound(corrector, pin)))
+    if residual > guard:
+        raise ValidityError(f"pin residual {residual:.3e} exceeds guard {guard:.3e}")
+    return GeneratingElement(
         index=j,
         pin=pin,
         approximant=approximant,
         corrector=corrector,
         product=Product((approximant, corrector)),
     )
-    residual = abs(element.product.eval(pin) - 1.0)
-    guard = max(1e-9, 32.0 * _pin_noise_bound(element.product, pin))
-    if residual > guard:
-        raise ValidityError(f"pin residual {residual:.3e} exceeds guard {guard:.3e}")
-    return element

@@ -370,6 +370,26 @@ def test_image_on_the_circle_exits_two_with_partial_report(tmp_path):
     assert results["failure"]["error"] == "PrecisionExhausted"
 
 
+def test_image_within_binary64_of_the_circle_names_the_cap(tmp_path):
+    # the stage-3 image lies 1.2e-15 from the circle, where the pullback
+    # would compose a zero onto it; the corrector index is named first
+    text = N1_CONFIG.replace("rate = 1.0", "rate = 0.7884977200065154").replace(
+        "f1 = const 0.5+0i\nf2 = z[1]",
+        "f1 = z[1]\nf2 = z[1]^3\nf3 = const 0.3642397088994983+0i",
+    ).replace("radius = 0.3", "radius = 0.2650892487651785").replace(
+        "k_max = 1000000000", "k_max = 1000000000000000")
+    cfg_path = _write(tmp_path, "rim.ini", text)
+    out = tmp_path / "out"
+    assert run_cli(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == 2
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert results["recorded_indices"] == [271, 142_521_993]
+    failure = results["failure"]
+    assert failure["stage"] == 3
+    assert failure["error"] == "PrecisionExhausted"
+    assert failure["message"].startswith(
+        "stage 3 needs corrector index 59, past the cap of 48")
+
+
 def test_index_past_binary64_resolution_keeps_completed_stages(tmp_path):
     # the stage-2 doubling steps reach k ~ 1.8e16, where 1 - rate/(k+1)
     # rounds to 1 and the sequence has no automorphism at k
@@ -560,6 +580,94 @@ def test_every_config_key_is_documented():
         keys = table if section != "sequence" else [k for t in table.values() for k in t]
         for key in keys:
             assert f"`{key}`" in body, (section, key)
+
+
+VERIFY_RANDOM_POINTS = """\
+[run]
+mode = verify-orbit
+dimension = 1
+
+[sequence]
+kind = generated
+lambda = 1+0i
+rate = 1.0
+theta = 0.0
+perm = 1
+
+[targets]
+f1 = const 0.5+0i
+f2 = z[1]
+
+[probe]
+radius = 0.3
+points_per_dim = 16
+
+[verify]
+x = z[1]
+indices = 1,2,3
+random_points = 32
+"""
+
+
+def _report(tmp_path, name, text, *flags):
+    cfg_path = _write(tmp_path, f"{name}.ini", text)
+    out = tmp_path / name
+    code = run_cli(["--config", str(cfg_path), "--out", str(out), "--quiet", *flags])
+    assert code == 0
+    return (out / "report.json").read_bytes()
+
+
+def test_random_points_are_seeded(tmp_path):
+    first = _report(tmp_path, "a", VERIFY_RANDOM_POINTS)
+    assert _report(tmp_path, "b", VERIFY_RANDOM_POINTS) == first
+    rows = json.loads(first)["results"]["orbit"]
+    assert all(math.isfinite(row["random_point_error"]) for row in rows)
+    # the seed draws the sample points only, never the orbit errors
+    other = json.loads(_report(tmp_path, "c", VERIFY_RANDOM_POINTS, "--seed", "1"))
+    for row, moved in zip(rows, other["results"]["orbit"]):
+        assert moved["random_point_error"] != row["random_point_error"]
+        assert moved["best_index"] == row["best_index"]
+        assert moved["value"] == row["value"]
+
+
+def test_timings_add_only_total_seconds(tmp_path):
+    plain = json.loads(_report(tmp_path, "plain", GOOD_INNER_CONFIG))
+    timed = json.loads(_report(tmp_path, "timed", GOOD_INNER_CONFIG, "--timings"))
+    timings = timed.pop("timings")
+    assert list(timings) == ["total_seconds"] and timings["total_seconds"] >= 0.0
+    assert timed == plain
+
+
+def _keys(node):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from _keys(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _keys(value)
+
+
+def test_every_report_field_is_documented(tmp_path):
+    docs = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text(
+        encoding="utf-8"
+    )
+    blocks = dict(b.partition("\n")[::2] for b in re.split(r"^#+ ", docs, flags=re.M))
+    documented = set(re.findall(r"\w+", " ".join(
+        re.findall(r"`([^`]*)`", blocks["Report (JSON)"]))))
+    reports = [
+        _report(tmp_path, "diagnose", GOOD_INNER_CONFIG, "--mode", "diagnose-inner",
+                "--timings"),
+        _report(tmp_path, "good", GOOD_INNER_CONFIG, "--timings"),
+        _report(tmp_path, "construct", N1_CONFIG, "--timings"),
+        _report(tmp_path, "verify", VERIFY_RANDOM_POINTS, "--timings"),
+    ]
+    undocumented = set()
+    for raw in reports:
+        report = json.loads(raw)
+        assert report.pop("config")
+        undocumented |= {key for key in _keys(report) if key not in documented}
+    assert not undocumented
 
 
 # ---------------------------------------------------------------------------

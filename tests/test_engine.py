@@ -63,7 +63,9 @@ def swap_sequence():
 def test_project_constant_half():
     probe = CompactProbe.create(0.25, 1)
     pin = TorusPoint((1.0,))
-    g, achieved = project_to_family(Constant(0.5, 1), pin, 20, 0.02, probe, depth=16)
+    g, achieved = project_to_family(
+        Constant(0.5, 1), pin, 20, 0.02, probe, EngineConfig.schur_depth
+    )
     assert achieved == probe_sup(g.product, Constant(0.5, 1), probe)
     assert achieved <= 0.02 + 8 * 2.0**-20
 
@@ -71,7 +73,9 @@ def test_project_constant_half():
 def test_project_coordinate_is_exact():
     probe = CompactProbe.create(0.25, 1)
     pin = TorusPoint((1.0,))
-    g, _ = project_to_family(Coordinate(1, 1), pin, 20, 1e-6, probe)
+    g, _ = project_to_family(
+        Coordinate(1, 1), pin, 20, 1e-6, probe, EngineConfig.schur_depth
+    )
     assert g.approximant == Coordinate(1, 1)
     assert probe_sup(g.product, Coordinate(1, 1), probe) <= 8 * 2.0**-20
 
@@ -80,7 +84,7 @@ def test_project_unimodular_constant():
     probe = CompactProbe.create(0.25, 1)
     pin = TorusPoint((1j,))
     u = Constant(complex(math.cos(0.8), math.sin(0.8)), 1)
-    g, _ = project_to_family(u, pin, 15, 1e-6, probe)
+    g, _ = project_to_family(u, pin, 15, 1e-6, probe, EngineConfig.schur_depth)
     assert abs(g.product.eval(pin) - 1.0) < 1e-9
 
 
@@ -88,7 +92,7 @@ def test_project_bivariate_product_form():
     probe = CompactProbe.create(0.25, 2)
     pin = TorusPoint((1.0, 1.0))
     f = Product((Constant(0.5, 2), Coordinate(1, 2), Coordinate(2, 2)))
-    g, _ = project_to_family(f, pin, 16, 0.01, probe)
+    g, _ = project_to_family(f, pin, 16, 0.01, probe, EngineConfig.schur_depth)
     assert probe_sup(g.product, f, probe) <= 0.01 + 8 * 2.0**-16
 
 
@@ -101,7 +105,7 @@ def test_project_rejects_entangled_target():
     knot = Power(Product((Coordinate(1, 2), Coordinate(2, 2))), 2)
     f = Product((Constant(0.5, 2), knot))
     with pytest.raises(UnsupportedTargetShape):
-        project_to_family(f, pin, 16, 0.01, probe)
+        project_to_family(f, pin, 16, 0.01, probe, EngineConfig.schur_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +186,9 @@ def test_condition_b_contracts_with_index():
     seq = constant_sequence()
     probe = CompactProbe.create(0.3, 1)
     pin = TorusPoint((1.0,))
-    projected, _ = project_to_family(Constant(0.5, 1), pin, 13, 0.0125, probe)
+    projected, _ = project_to_family(
+        Constant(0.5, 1), pin, 13, 0.0125, probe, EngineConfig.schur_depth
+    )
     values = [
         stage_condition_values(seq, probe.axes(), [], projected.product, k)[1]
         for k in (10, 100, 1000)
@@ -204,7 +210,9 @@ def test_sequence_exhausted_for_stalled_moduli():
     sel = select_subsequence(seq, 64, math.pi / 16, boundary_tol=0.75)
     probe = CompactProbe.create(0.3, 1)
     pin = TorusPoint((1.0,))
-    projected, _ = project_to_family(Constant(0.5, 1), pin, 13, 0.0125, probe)
+    projected, _ = project_to_family(
+        Constant(0.5, 1), pin, 13, 0.0125, probe, EngineConfig.schur_depth
+    )
     with pytest.raises(SequenceExhausted) as excinfo:
         choose_stage_index(
             sel, probe.axes(), [], projected.product, j=1, floor=0,

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -245,6 +246,65 @@ def test_schur_parameters_of_constant():
     gammas = schur_parameters(taylor_coeffs(Constant(0.5, 1), 8), 4)
     assert gammas[0] == pytest.approx(0.5, abs=1e-13)
     assert max(abs(g) for g in gammas[1:]) < 1e-12
+
+
+def exact_schur_parameters(coeffs, depth):
+    """The Schur parameters of the binary64 coefficients, exactly: the
+    two-series recursion on complex numbers held as pairs of Fractions.
+    q_k[0] stays real, so gamma_k = p_k[0] / q_k[0] divides by a rational."""
+    p = [(Fraction(c.real), Fraction(c.imag)) for c in coeffs[: depth + 1]]
+    q = [(Fraction(1), Fraction(0))] + [(Fraction(0), Fraction(0))] * depth
+    gammas = []
+    for _ in range(depth):
+        assert q[0][1] == 0
+        gr, gi = p[0][0] / q[0][0], p[0][1] / q[0][0]
+        gammas.append((gr, gi))
+        p, q = (
+            [
+                (a[0] - gr * b[0] + gi * b[1], a[1] - gr * b[1] - gi * b[0])
+                for a, b in zip(p[1:], q[1:])
+            ],
+            [
+                (b[0] - gr * a[0] - gi * a[1], b[1] - gr * a[1] + gi * a[0])
+                for a, b in zip(p[:-1], q[:-1])
+            ],
+        )
+    return gammas
+
+
+#: unit roundoff of binary64
+UNIT_ROUNDOFF = 2.0**-53
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    depth=st.integers(1, 16),
+    log_gap=st.floats(-9.0, -0.01),
+    angle=angles,
+    zeros=st.lists(
+        st.tuples(st.floats(-6.0, -0.01), angles, angles), min_size=1, max_size=3
+    ),
+)
+def test_schur_parameters_match_exact_recursion(depth, log_gap, angle, zeros):
+    # each step rounds a few times, and dividing by q_k[0] carries the
+    # growth prod 1/(1 - |gamma_i|^2) of earlier errors: 2 000 seeded draws
+    # of this family reached 1.82 of the bound's 4. The zeros' and the
+    # constant's phases make the parameters complex, so a q update that
+    # drops the conjugate of gamma_k fails here
+    f = Product(
+        (Constant(cmath.rect(1.0 - 10.0**log_gap, angle), 1),)
+        + tuple(
+            BlaschkeFactor(MobiusFactor(cmath.rect(1.0 - 10.0**g, t), theta), 1, 1)
+            for g, t, theta in zeros
+        )
+    )
+    coeffs = taylor_coeffs(f, depth)
+    exact = exact_schur_parameters(coeffs, depth)
+    growth = 1.0
+    for k, (got, (er, ei)) in enumerate(zip(schur_parameters(coeffs, depth), exact)):
+        error = math.hypot(Fraction(got.real) - er, Fraction(got.imag) - ei)
+        assert error <= 4.0 * UNIT_ROUNDOFF * (k + 1) * growth
+        growth /= float(1 - er * er - ei * ei)
 
 
 # ---------------------------------------------------------------------------
