@@ -49,7 +49,6 @@ from .errors import (
     ProjectionFailed,
     RadiusOnZeroModulus,
     RootFindFailure,
-    SchurParameterOutOfDisk,
     SequenceExhausted,
     UnsupportedTargetShape,
     ValidityError,
@@ -87,7 +86,6 @@ from .inner_tools import (
     make_generating_element,
     radial_modulus_report,
     schur_parameters,
-    schur_project,
     schur_project_adaptive,
 )
 from .dsl import parse_function_dsl, serialize_automorphism, serialize_function

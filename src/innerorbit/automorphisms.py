@@ -77,6 +77,8 @@ class MobiusFactor:
         alpha = complex(self.alpha)
         if abs(alpha) >= 1.0:
             raise ValidityError(f"|alpha| = {abs(alpha):.17g} is not < 1")
+        if not math.isfinite(self.theta):
+            raise ValidityError(f"theta = {self.theta!r} is not finite")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "theta", normalize_angle(self.theta))
 

@@ -165,7 +165,7 @@ def validate_targets(config: EngineConfig) -> None:
 
 def _schur_one_variable(f1: HoloFunction, depth: int):
     coeffs = taylor_coeffs(f1, 2 * depth)
-    tree, _ = schur_project_adaptive(coeffs, depth, 1.0)
+    tree, _ = schur_project_adaptive(coeffs, depth)
     return tree
 
 
@@ -454,6 +454,10 @@ def build_factor(
     the probe already, and its pullback would swing wildly near lambda), so
     on earlier image compacts the factor tends to A(gamma) as n_j grows. Its
     interference there is checked, not assumed, and raises past the budget.
+
+    Returns (factor, corrector index, phi_{n_j}(probe), retroactive values,
+    fidelity, roundtrip error), the last the probe sup of the projected
+    target through phi_{n_j} o phi_{n_j}^{-1} against itself.
     """
     seq = config.sequence
     axes = config.probe.axes()
@@ -462,7 +466,8 @@ def build_factor(
 
     eps_j = config.stage_tolerance(j)
     idx = _corrector_index_for(j, config.j_min, _depth(image), eps_j)
-    pulled = pullback(projected.approximant, auto_inverse(phi))
+    inverse = auto_inverse(phi)
+    pulled = pullback(projected.approximant, inverse)
     factor = make_generating_element(idx, lam, pulled)
 
     budget = config.delta * math.ldexp(1.0, -j)
@@ -475,15 +480,16 @@ def build_factor(
             {"retro": retro},
         )
 
-    fidelity = float(
-        np.max(np.abs(factor.product._eval(image) - projected.product._eval(axes)))
-    )
+    target = projected.product._eval(axes)
+    fidelity = float(np.max(np.abs(factor.product._eval(image) - target)))
     if fidelity > eps_j:
         raise InterferenceBudgetExceeded(
             f"stage {j} fidelity {fidelity:.3e} exceeds epsilon_j {eps_j:.3e}",
             {"fidelity": fidelity},
         )
-    return factor, idx, image, retro, fidelity
+    back = phi.transform(inverse.transform(axes))
+    roundtrip = float(np.max(np.abs(projected.product._eval(back) - target)))
+    return factor, idx, image, retro, fidelity, roundtrip
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +551,7 @@ def run_universality(config: EngineConfig) -> UniversalityRun:
                                            projected.approximant, eps_j)
                 n_j, conds_a, cond_b = search(n_j, retro=bounds)
                 built = build_factor(config, lam, j, n_j, projected, images)
-            factor, idx, image, retro, fidelity = built
+            factor, idx, image, retro, fidelity, roundtrip = built
         except InnerOrbitError as exc:
             run.failure = {
                 "stage": j,
@@ -554,16 +560,6 @@ def run_universality(config: EngineConfig) -> UniversalityRun:
             }
             return run
 
-        phi = seq.at(n_j)
-        pre = auto_inverse(phi).transform(axes)
-        roundtrip = float(
-            np.max(
-                np.abs(
-                    projected.product._eval(phi.transform(pre))
-                    - projected.product._eval(axes)
-                )
-            )
-        )
         stages.append(
             StageRecord(
                 stage=j,

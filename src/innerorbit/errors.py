@@ -33,23 +33,6 @@ class EmptySelection(InnerOrbitError):
     """No permutation repeats within the analysis horizon."""
 
 
-class SchurParameterOutOfDisk(InnerOrbitError):
-    """A Schur parameter reached the unit circle before the requested depth.
-
-    Carries the step at which the recursion terminated and the offending
-    parameter so callers can restart with a shallower depth and that
-    parameter (normalized) as the tail constant.
-    """
-
-    def __init__(self, step: int, parameter: complex):
-        self.step = step
-        self.parameter = parameter
-        super().__init__(
-            f"Schur parameter at step {step} has modulus "
-            f"{abs(parameter):.17g}; lower the depth to {step}"
-        )
-
-
 class RootFindFailure(InnerOrbitError):
     """The corrector's phase misses its boundary value by more than 1e-10."""
 

@@ -390,8 +390,10 @@ def factor_product_form(f: HoloFunction):
                 "factor depends on several coordinates; only per-variable "
                 "product targets are supported for n >= 2"
             )
-        coord = used.pop()
-        buckets.setdefault(coord, []).append(node)
+        if not used:  # a power of constants: constant everywhere
+            constant *= node.eval((0.0,) * node.dimension)
+            return
+        buckets.setdefault(used.pop(), []).append(node)
 
     walk(f)
     return constant, buckets

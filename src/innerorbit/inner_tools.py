@@ -26,7 +26,6 @@ from .errors import (
     PinNotUnimodular,
     RadiusOnZeroModulus,
     RootFindFailure,
-    SchurParameterOutOfDisk,
     ValidityError,
 )
 from .geometry import PointAxes, TorusPoint
@@ -217,16 +216,17 @@ _SCHUR_BOUNDARY = 1.0 - 1e-12
 def schur_parameters(coeffs, depth: int):
     """Run the Schur recursion gamma_k = f_k(0),
     f_{k+1} = (f_k - gamma_k) / (z (1 - conj(gamma_k) f_k)) in coefficient
-    arithmetic. Raises SchurParameterOutOfDisk at the first parameter on the
-    unit circle.
+    arithmetic for up to ``depth`` steps. A parameter on the unit circle
+    (|gamma_k| >= 1 - 1e-12) ends it: the input is then a finite Blaschke
+    product of degree k, and gamma_k is the last parameter returned.
 
     f_k is kept as a quotient p_k / q_k of two series, starting from
     p_0 = coeffs and q_0 = 1, so no series is divided:
     gamma_k = p_k[0] / q_k[0], p_{k+1} = (p_k - gamma_k q_k) / z and
     q_{k+1} = q_k - conj(gamma_k) p_k, each cut to the coefficients later
     steps read. q_k[0] = prod_{i<k} (1 - |gamma_i|^2) is at least (2e-12)^k,
-    as every |gamma_i| < 1 - 1e-12; so it does not underflow below depth 26,
-    and the engine's depth is 16.
+    as every earlier |gamma_i| < 1 - 1e-12; so it does not underflow below
+    depth 26, and the engine's depth is 16.
     """
     if depth < 1:
         raise ValidityError("depth must be >= 1")
@@ -236,47 +236,52 @@ def schur_parameters(coeffs, depth: int):
     q = np.zeros_like(p)
     q[0] = 1.0
     gammas = []
-    for k in range(depth):
+    for _ in range(depth):
         gamma = complex(p[0] / q[0])
-        if abs(gamma) >= _SCHUR_BOUNDARY:
-            raise SchurParameterOutOfDisk(step=k, parameter=gamma)
         gammas.append(gamma)
+        if abs(gamma) >= _SCHUR_BOUNDARY:
+            break
         p, q = (p - gamma * q)[1:], (q - gamma.conjugate() * p)[:-1]
     return gammas
 
 
-def _blaschke_from_zeros(zeros, unimodular: complex, dimension: int) -> HoloFunction:
+def _blaschke_from_zeros(zeros, unimodular: complex) -> HoloFunction:
     """u * prod (a_k - z)/(1 - conj(a_k) z) as a tree on coordinate 1, with
     the phase folded into the first factor."""
     phase = normalize_angle(cmath.phase(unimodular))
     factors = []
     for i, a in enumerate(zeros):
         theta = phase if i == 0 else 0.0
-        factors.append(
-            BlaschkeFactor(MobiusFactor(a, theta), coord=1, dimension=dimension)
-        )
+        factors.append(BlaschkeFactor(MobiusFactor(a, theta), coord=1, dimension=1))
     if len(factors) == 1:
         return factors[0]
     return Product(tuple(factors))
 
 
-def schur_project(coeffs, depth: int, tail_constant: complex = 1.0) -> HoloFunction:
+def schur_project_adaptive(coeffs, depth: int):
     """Finite Blaschke product matching the first ``depth`` Taylor
-    coefficients of the input ball function.
+    coefficients of the input ball function; returns (tree, depth d used).
 
-    The recursion is truncated at depth d and the remainder replaced by
-    the unimodular tail constant eta. Reconstruction runs in polynomial
-    arithmetic on p/q, where p keeps its leading coefficient eta and
-    q = eta p* is p's reciprocal polynomial; so with a_k the roots of p the
-    product is (-1)^d eta prod (a_k - z)/(1 - conj(a_k) z). For two ball
+    One pass of ``schur_parameters``. If it ends on a parameter on the
+    circle, the input is a finite Blaschke product of degree d < depth: that
+    parameter, divided by its modulus, is the tail eta, and the d parameters
+    before it are kept (d = 0 gives the constant eta). Otherwise d = depth
+    and eta = 1: the recursion is truncated there and the remainder replaced
+    by eta. Reconstruction runs in polynomial arithmetic on p/q, where p
+    keeps its leading coefficient eta and q = eta p* is p's reciprocal
+    polynomial; so with a_k the roots of p the product is
+    (-1)^d eta prod (a_k - z)/(1 - conj(a_k) z). For two ball
     functions sharing the first d coefficients, sup on |z| <= rho differs by
     at most 2 rho^d / (1 - rho).
     """
-    eta = complex(tail_constant)
-    if abs(abs(eta) - 1.0) > 1e-12:
-        raise ValidityError("tail constant must be unimodular")
-    eta /= abs(eta)
     gammas = schur_parameters(coeffs, depth)
+    eta = complex(1.0)
+    if abs(gammas[-1]) >= _SCHUR_BOUNDARY:
+        eta = gammas.pop()
+        eta /= abs(eta)
+        if not gammas:
+            return Constant(eta, dimension=1), 0
+    depth = len(gammas)
 
     p = np.array([eta], dtype=complex)
     for gamma in reversed(gammas):
@@ -295,20 +300,7 @@ def schur_project(coeffs, depth: int, tail_constant: complex = 1.0) -> HoloFunct
     order = np.lexsort((zeros.imag, zeros.real))
     zeros = zeros[order]
     u = eta if depth % 2 == 0 else -eta
-    return _blaschke_from_zeros([complex(z) for z in zeros], u, dimension=1)
-
-
-def schur_project_adaptive(coeffs, depth: int, tail_constant: complex = 1.0):
-    """schur_project, but when a Schur parameter reaches the circle at step
-    k < depth (the input is a finite Blaschke product of degree k), restart
-    with depth k and that parameter as the tail. Returns (tree, depth)."""
-    try:
-        return schur_project(coeffs, depth, tail_constant), depth
-    except SchurParameterOutOfDisk as exc:
-        eta = exc.parameter / abs(exc.parameter)
-        if exc.step == 0:
-            return Constant(eta, dimension=1), 0
-        return schur_project(coeffs, exc.step, eta), exc.step
+    return _blaschke_from_zeros([complex(z) for z in zeros], u), depth
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,7 @@ def test_criterion_5_schur_projector():
     zs = (0.25 * np.exp(2j * np.pi * np.arange(512) / 512)).reshape(-1, 1)
     for f in targets:
         coeffs = taylor_coeffs(f, 2 * depth)
-        b, _ = schur_project_adaptive(coeffs, depth, 1.0)
+        b, _ = schur_project_adaptive(coeffs, depth)
         sup = np.max(np.abs(b.eval_grid(zs) - f.eval_grid(zs)))
         assert sup <= 1e-3
         back = taylor_coeffs(b, depth - 1)

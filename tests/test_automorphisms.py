@@ -44,6 +44,12 @@ def test_mobius_rejects_unit_alpha():
         MobiusFactor(1.0, 0.0)
 
 
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_mobius_rejects_an_angle_that_is_not_finite(theta):
+    with pytest.raises(ValidityError, match="is not finite"):
+        MobiusFactor(0.5, theta)
+
+
 def test_mobius_pole_hit_outside_disk():
     f = MobiusFactor(0.5, 0.0)
     with pytest.raises(PoleHit):

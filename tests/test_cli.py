@@ -459,6 +459,19 @@ def test_repeated_run_does_not_refault_freed_arrays(tmp_path):
     assert int(proc.stdout) < 500
 
 
+def test_power_of_a_constant_at_n2_writes_a_report(tmp_path):
+    # a factor on no coordinate joins the constant of the per-coordinate split
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "configs" / "universal_n2_swap.ini").read_text(encoding="utf-8")
+    text = text.replace("f1 = const 0.5+0i\nf2 = z[1] * z[2]\n",
+                        "f1 = (const 0.5+0i)^2 * z[1]\n")
+    cfg_path = _write(tmp_path, "n2.ini", text)
+    out = tmp_path / "out"
+    assert run_cli(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    results = json.loads((out / "report.json").read_text(encoding="utf-8"))["results"]
+    assert results["recorded_indices"] == [3325]
+
+
 @pytest.mark.parametrize("k_max, expected", [("1000000000", 0), ("100", 2)])
 def test_module_entry_point_runs(tmp_path, k_max, expected):
     text = N1_CONFIG.replace("k_max = 1000000000", f"k_max = {k_max}")
@@ -503,6 +516,21 @@ def test_non_finite_value_exits_one(tmp_path, capsys, value, section, key, old, 
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["type"] == "ConfigError"
     assert error["message"].startswith(f"[{section}] {key} must be finite")
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("target", [
+    "blaschke(0.5+0i, 1e999)[1]",
+    "compose(z[1], auto{p=[1], a=[0+0i], t=[1e999]})",
+])
+def test_infinite_angle_in_a_target_exits_one(tmp_path, capsys, target):
+    text = N1_CONFIG.replace("f2 = z[1]", f"f2 = {target}")
+    cfg_path = _write(tmp_path, "bad.ini", text)
+    out = tmp_path / "out"
+    assert run_cli(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith("target 'f2': theta = inf is not finite")
     assert not (out / "report.json").exists()
 
 

@@ -18,6 +18,7 @@ from innerorbit import (
     TorusPoint,
     auto_inverse,
     choose_stage_index,
+    parse_function_dsl,
     probe_sup,
     project_to_family,
     run_universality,
@@ -94,6 +95,21 @@ def test_project_bivariate_product_form():
     f = Product((Constant(0.5, 2), Coordinate(1, 2), Coordinate(2, 2)))
     g, _ = project_to_family(f, pin, 16, 0.01, probe, EngineConfig.schur_depth)
     assert probe_sup(g.product, f, probe) <= 0.01 + 8 * 2.0**-16
+
+
+@pytest.mark.parametrize("power, constant", [
+    ("(const 0.5+0i)^2 * z[1]", "const 0.25+0i * z[1]"),
+    ("(const 0.5+0i)^2", "const 0.25+0i"),
+])
+def test_project_power_of_a_constant_at_n2(power, constant):
+    # a factor on no coordinate is multiplied into the constant
+    probe = CompactProbe.create(0.25, 2)
+    pin = TorusPoint((1.0, 1.0))
+    got, _ = project_to_family(parse_function_dsl(power, 2), pin, 16, 0.01, probe,
+                               EngineConfig.schur_depth)
+    want, _ = project_to_family(parse_function_dsl(constant, 2), pin, 16, 0.01,
+                                probe, EngineConfig.schur_depth)
+    assert got.approximant == want.approximant
 
 
 def test_project_rejects_entangled_target():

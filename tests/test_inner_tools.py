@@ -25,14 +25,12 @@ from innerorbit import (
     probe_sup,
     radial_modulus_report,
     schur_parameters,
-    schur_project,
     schur_project_adaptive,
     taylor_coeffs,
 )
 from innerorbit.errors import (
     PinNotUnimodular,
     RadiusOnZeroModulus,
-    SchurParameterOutOfDisk,
     ValidityError,
 )
 from innerorbit.inner_tools import _corrector_boundary_value, _solve_corrector_phase
@@ -154,7 +152,8 @@ def test_trend_constant_fails():
 
 def test_schur_depth_one_of_half():
     coeffs = taylor_coeffs(Constant(0.5, 1), 4)
-    b = schur_project(coeffs, 1, 1.0)
+    b, depth = schur_project_adaptive(coeffs, 1)
+    assert depth == 1
     # one reconstruction step: (0.5 + z)/(1 + 0.5 z), hand-checked
     for z in (0.0, 0.3, -0.5j):
         expected = (0.5 + z) / (1 + 0.5 * z)
@@ -163,7 +162,7 @@ def test_schur_depth_one_of_half():
 
 def test_schur_depth_one_of_zero():
     coeffs = np.zeros(4, dtype=complex)
-    b = schur_project(coeffs, 1, 1.0)
+    b, _ = schur_project_adaptive(coeffs, 1)
     assert isinstance(b, BlaschkeFactor)
     assert b.factor.alpha == pytest.approx(0.0, abs=1e-15)
     for z in (0.2, -0.4, 0.1j):
@@ -172,22 +171,24 @@ def test_schur_depth_one_of_zero():
 
 def test_schur_depth_four_error_bound():
     coeffs = taylor_coeffs(Constant(0.5, 1), 8)
-    b = schur_project(coeffs, 4, 1.0)
+    b, _ = schur_project_adaptive(coeffs, 4)
     zs = (0.25 * np.exp(2j * np.pi * np.arange(256) / 256)).reshape(-1, 1)
     err = np.max(np.abs(b.eval_grid(zs) - 0.5))
     assert err <= 2 * 0.25**4 / 0.75
 
 
-def test_schur_rejects_boundary_input():
-    coeffs = taylor_coeffs(Constant(1.0, 1), 4)
-    with pytest.raises(SchurParameterOutOfDisk):
-        schur_project(coeffs, 2, 1.0)
+def test_schur_stops_on_a_unimodular_constant():
+    coeffs = taylor_coeffs(Constant(1j, 1), 4)
+    gammas = schur_parameters(coeffs, 2)
+    assert len(gammas) == 1 and gammas[0] == pytest.approx(1j, abs=1e-14)
+    eta = gammas[0] / abs(gammas[0])
+    assert schur_project_adaptive(coeffs, 2) == (Constant(eta, 1), 0)
 
 
 def test_schur_adaptive_terminates_on_blaschke_input():
     f = BlaschkeFactor(MobiusFactor(0.5, 0.0), 1, 1)
     coeffs = taylor_coeffs(f, 32)
-    b, depth = schur_project_adaptive(coeffs, 16, 1.0)
+    b, depth = schur_project_adaptive(coeffs, 16)
     assert depth == 1
     zs = (0.5 * np.exp(2j * np.pi * np.arange(128) / 128)).reshape(-1, 1)
     assert np.max(np.abs(b.eval_grid(zs) - f.eval_grid(zs))) < 1e-10
@@ -203,7 +204,8 @@ def test_schur_fidelity_on_random_ball_functions():
             (Constant(c, 1), BlaschkeFactor(MobiusFactor(zero, 0.3), 1, 1))
         )
         coeffs = taylor_coeffs(f, 2 * depth)
-        b = schur_project(coeffs, depth, 1.0)
+        b, used = schur_project_adaptive(coeffs, depth)
+        assert used == depth
         back = taylor_coeffs(b, depth - 1)
         assert np.max(np.abs(back - coeffs[:depth])) < 1e-8
 
@@ -211,35 +213,59 @@ def test_schur_fidelity_on_random_ball_functions():
 angles = st.floats(-math.pi, math.pi)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    depth=st.integers(1, 12),
-    tail_angle=angles,
-    modulus=st.floats(0.0, 0.9),
-    angle=angles,
-    zeros=st.lists(st.tuples(st.floats(0.0, 0.6), angles, angles), max_size=3),
-)
-def test_schur_matches_coefficients_and_keeps_the_tail(
-    depth, tail_angle, modulus, angle, zeros
-):
-    # the projection of c * (up to 3 Blaschke factors) at depth d has the
-    # input's first d coefficients, so its Schur parameters up to d - 1 are
-    # the input's, and its parameter d is the tail eta, on the circle
-    f = Product(
-        (Constant(cmath.rect(modulus, angle), 1),)
+def constant_times_blaschke(c, zeros):
+    """c times one Blaschke factor per (modulus, angle, theta) in ``zeros``."""
+    return Product(
+        (Constant(c, 1),)
         + tuple(
             BlaschkeFactor(MobiusFactor(cmath.rect(r, t), theta), 1, 1)
             for r, t, theta in zeros
         )
     )
-    eta = cmath.exp(1j * tail_angle)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    depth=st.integers(1, 12),
+    modulus=st.floats(0.0, 0.9),
+    angle=angles,
+    zeros=st.lists(st.tuples(st.floats(0.0, 0.6), angles, angles), max_size=3),
+)
+def test_schur_matches_coefficients_and_stops_on_its_tail(depth, modulus, angle, zeros):
+    # the projection of c * (up to 3 Blaschke factors) at depth d has the
+    # input's first d coefficients, so its Schur parameters up to d - 1 are
+    # the input's, and its parameter d is the tail 1, on the circle: projected
+    # again at a greater depth, it stops there and comes back
+    f = constant_times_blaschke(cmath.rect(modulus, angle), zeros)
     coeffs = taylor_coeffs(f, depth)
-    b = schur_project(coeffs, depth, eta)
+    b, used = schur_project_adaptive(coeffs, depth)
+    assert used == depth
     assert np.max(np.abs(taylor_coeffs(b, depth - 1) - coeffs[:depth])) < 1e-12
-    with pytest.raises(SchurParameterOutOfDisk) as info:
-        schur_parameters(taylor_coeffs(b, depth + 1), depth + 1)
-    assert info.value.step == depth
-    assert abs(info.value.parameter - eta) < 1e-12
+    gammas = schur_parameters(taylor_coeffs(b, depth + 1), depth + 1)
+    assert len(gammas) == depth + 1 and abs(gammas[-1] - 1.0) < 1e-12
+    again, used = schur_project_adaptive(taylor_coeffs(b, depth + 4), depth + 4)
+    assert used == depth
+    zs = (0.5 * np.exp(2j * np.pi * np.arange(64) / 64)).reshape(-1, 1)
+    assert np.max(np.abs(again.eval_grid(zs) - b.eval_grid(zs))) < 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    extra=st.integers(1, 12),
+    angle=angles,
+    zeros=st.lists(st.tuples(st.floats(0.0, 0.6), angles, angles), max_size=3),
+)
+def test_schur_stops_at_the_degree_of_a_blaschke_input(extra, angle, zeros):
+    # u * (m <= 3 Blaschke factors) has Schur parameter m on the circle; with
+    # every |a| <= 0.6 it lands within 1e-13 of it in binary64, so the
+    # projector stops there, at depth m < depth, and reproduces the input
+    # (m = 0 is the constant u)
+    f = constant_times_blaschke(cmath.exp(1j * angle), zeros)
+    depth = len(zeros) + extra
+    b, used = schur_project_adaptive(taylor_coeffs(f, depth), depth)
+    assert used == len(zeros)
+    zs = (0.5 * np.exp(2j * np.pi * np.arange(64) / 64)).reshape(-1, 1)
+    assert np.max(np.abs(b.eval_grid(zs) - f.eval_grid(zs))) < 1e-10
 
 
 def test_schur_parameters_of_constant():
@@ -279,30 +305,38 @@ UNIT_ROUNDOFF = 2.0**-53
 @settings(max_examples=150, deadline=None)
 @given(
     depth=st.integers(1, 16),
-    log_gap=st.floats(-9.0, -0.01),
+    log_gap=st.none() | st.floats(-9.0, -0.01),
     angle=angles,
-    zeros=st.lists(
-        st.tuples(st.floats(-6.0, -0.01), angles, angles), min_size=1, max_size=3
-    ),
+    data=st.data(),
 )
-def test_schur_parameters_match_exact_recursion(depth, log_gap, angle, zeros):
+def test_schur_parameters_match_exact_recursion(depth, log_gap, angle, data):
     # each step rounds a few times, and dividing by q_k[0] carries the
     # growth prod 1/(1 - |gamma_i|^2) of earlier errors: 2 000 seeded draws
     # of this family reached 1.82 of the bound's 4. The zeros' and the
     # constant's phases make the parameters complex, so a q update that
-    # drops the conjugate of gamma_k fails here
-    f = Product(
-        (Constant(cmath.rect(1.0 - 10.0**log_gap, angle), 1),)
-        + tuple(
-            BlaschkeFactor(MobiusFactor(cmath.rect(1.0 - 10.0**g, t), theta), 1, 1)
-            for g, t, theta in zeros
-        )
+    # drops the conjugate of gamma_k fails here. A log_gap of None makes the
+    # constant unimodular: f is then a finite Blaschke product of degree m,
+    # the number of zeros, and the recursion stops on parameter m, which
+    # with every |a| <= 0.6 lands within 1e-13 of the circle
+    lowest = -6.0 if log_gap is not None else math.log10(0.4)
+    zeros = data.draw(st.lists(
+        st.tuples(st.floats(lowest, -0.01), angles, angles), min_size=1, max_size=3
+    ))
+    modulus = 1.0 if log_gap is None else 1.0 - 10.0**log_gap
+    f = constant_times_blaschke(
+        cmath.rect(modulus, angle), [(1.0 - 10.0**g, t, theta) for g, t, theta in zeros]
     )
     coeffs = taylor_coeffs(f, depth)
-    exact = exact_schur_parameters(coeffs, depth)
+    got = schur_parameters(coeffs, depth)
+    stop = len(zeros) if log_gap is None and len(zeros) < depth else None
+    assert len(got) == (depth if stop is None else stop + 1)
+    assert all(abs(g) < 1.0 - 1e-12 for g in got[:stop])
+    if stop is not None:
+        assert abs(got[stop]) >= 1.0 - 1e-12
+    exact = exact_schur_parameters(coeffs, len(got))
     growth = 1.0
-    for k, (got, (er, ei)) in enumerate(zip(schur_parameters(coeffs, depth), exact)):
-        error = math.hypot(Fraction(got.real) - er, Fraction(got.imag) - ei)
+    for k, (g, (er, ei)) in enumerate(zip(got, exact)):
+        error = math.hypot(Fraction(g.real) - er, Fraction(g.imag) - ei)
         assert error <= 4.0 * UNIT_ROUNDOFF * (k + 1) * growth
         growth /= float(1 - er * er - ei * ei)
 

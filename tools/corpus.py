@@ -4,17 +4,17 @@
     python3 tools/corpus.py OUT_DIR
 
 Run from anywhere; the program and the benchmark's config generators are
-imported from this checkout. The corpus is 395 runs:
+imported from this checkout. The corpus is 405 runs:
 
 - the three ``configs/*.ini``, under ``OUT_DIR/configs/<name>/``;
 - the benchmark shapes ``n1_two``, ``n2_swap``, ``n1_three`` and
   ``n3_two`` of ``perfbench/workloads.py`` for seeds 0-39, under
   ``OUT_DIR/<shape>_s<seed>/``;
-- for seeds 0-9, four shapes derived from those configs' text: three with
+- for seeds 0-9, five shapes derived from those configs' text: three with
   non-constant schedules (``n1_cycle``, ``n2_permcycle``, ``n1_sparse``
   below), so that report comparisons exercise subsequence membership, and
-  ``n1_schur``, whose first target is not a constant, so that they
-  exercise the Schur projector;
+  ``n1_schur`` and ``n2_schur``, whose first target is not a constant, so
+  that they exercise the Schur projector, at n = 2 per coordinate;
 - a ``verify-orbit`` at the recorded indices of each construction that
   exits 0, under ``OUT_DIR/<label>_verify/``;
 - for seeds 0-4, the runs of one ``diagnose`` and one ``orbit-sweep``
@@ -76,10 +76,18 @@ def n1_schur(inputs: wl.Inputs) -> str:
                      "f1 = blaschke(0.2+0i, 0)[1] * const ")
 
 
+def n2_schur(inputs: wl.Inputs) -> str:
+    """``n2_swap`` with a Blaschke factor on z_2 and z_1 on its constant
+    target, so that the engine splits the target per coordinate and
+    Schur-projects its z_1 part, c z_1."""
+    return _replaced(wl.n2_swap(inputs), "f1 = const ",
+                     "f1 = blaschke(0.2+0i, 0)[2] * z[1] * const ")
+
+
 SHAPES = (wl.n1_two, wl.n2_swap, wl.n1_three, wl.n3_two)
 SEEDS = range(40)
 #: the derived shapes, and their seeds
-CYCLE_SHAPES = (n1_cycle, n2_permcycle, n1_sparse, n1_schur)
+CYCLE_SHAPES = (n1_cycle, n2_permcycle, n1_sparse, n1_schur, n2_schur)
 CYCLE_SEEDS = range(10)
 #: seeds whose products also run the diagnose and orbit-sweep modes
 MODE_SEEDS = range(5)
