@@ -69,12 +69,17 @@ from .inner_tools import (
 #: ulps of 1 and the factor stops being representable
 _MAX_CORRECTOR_INDEX = 48
 
-#: probe points one batched orbit evaluation covers: a chunk of the sweep
+#: probe points one batched orbit evaluation covers: a batch of the sweep
 #: holds max(1, _BATCH_POINTS // points per index) indices. On the
 #: orbit-sweep benchmark (2-vCPU VM, the CLI's allocator policy in place)
 #: this size halves op_s_tail against one index at a time for about 0.5 MiB
 #: more peak RSS; 16 384 adds about 1 MiB for no measurable speed
 _BATCH_POINTS = 12_288
+
+#: outer-ring angles per coordinate whose points bound an index's probe sup
+#: from below in ``verify_orbit``: 8, 64 and 216 points at n = 1, 2 and 3
+#: on the default grids
+_RING_ANGLES = 8
 
 #: margin, in log(k + 1), by which a stage-index jump passes the crossing its
 #: power-law fit predicts, so that the jump lands admissible and brackets
@@ -228,29 +233,33 @@ def project_to_family(
 # stage index search
 
 def stage_condition_values(
-    seq, axes: PointAxes, factors, projected: HoloFunction, k: int
+    seq, axes: PointAxes, factors, projected: HoloFunction, k: int, retro=None
 ):
     """((sup |x_i o phi_k - 1| for each earlier factor x_i),
-        sup |f~ o phi_k^{-1} - 1|) on the probe grid ``axes``."""
+        sup |f~ o phi_k^{-1} - 1|) on the probe grid ``axes``. ``retro``, if
+    given, is called as retro(phi_k(axes), phi_k^{-1}), and the values it
+    returns follow those of condition a in the first item."""
     phi = seq.at(k)
     image = phi.transform(axes)
     conds_a = tuple(float(np.max(np.abs(x._eval(image) - 1.0))) for x in factors)
-    pre = auto_inverse(phi).transform(axes)
-    cond_b = float(np.max(np.abs(projected._eval(pre) - 1.0)))
+    inverse = auto_inverse(phi)
+    cond_b = float(np.max(np.abs(projected._eval(inverse.transform(axes)) - 1.0)))
+    if retro is not None:
+        conds_a += retro(image, inverse)
     return conds_a, cond_b
 
 
-def retro_condition_values(seq, axes: PointAxes, images, approximant, eps_j, k):
+def retro_condition_values(images, approximant, eps_j, image, inverse):
     """Per earlier image compact in ``images``, a bound on |x - 1| there for
-    the factor x that ``build_factor`` makes at index k from ``approximant``
-    A: sup |A o phi_k^{-1} - 1| on the image, plus eps_j * eta / (2 * eta_i)
-    for the lambda-corrector psi, as |psi - 1| <= 2 * 2^-idx / eta_i at
-    depth eta_i (``make_corrector``) and idx >= log2(4 / (eta * eps_j)) at
-    the depth eta of phi_k(probe) (``_corrector_index_for``). As |psi| <= 1,
-    values within the budget imply the retroactive check, up to rounding."""
-    phi = seq.at(k)
-    eta = _depth(phi.transform(axes))
-    inverse = auto_inverse(phi)
+    the factor x that ``build_factor`` makes from ``approximant`` A at the
+    index k whose image of the probe is ``image`` and whose inverse is
+    ``inverse``: sup |A o phi_k^{-1} - 1| on the image, plus
+    eps_j * eta / (2 * eta_i) for the lambda-corrector psi, as
+    |psi - 1| <= 2 * 2^-idx / eta_i at depth eta_i (``make_corrector``) and
+    idx >= log2(4 / (eta * eps_j)) at the depth eta of phi_k(probe)
+    (``_corrector_index_for``). As |psi| <= 1, values within the budget
+    imply the retroactive check, up to rounding."""
+    eta = _depth(image)
     return tuple(
         float(np.max(np.abs(approximant._eval(inverse.transform(img)) - 1.0)))
         + eps_j * eta / (2.0 * _depth(img))
@@ -277,8 +286,9 @@ def choose_stage_index(
     """Smallest admissible subsequence index above ``floor``, with both
     conditions measured on the probe grid ``axes``; returns (index, the
     per-factor condition a values, condition b) at that index. ``retro``, if
-    given, maps an index to values that count with condition a but are not
-    returned (``retro_condition_values``).
+    given, is passed on to ``stage_condition_values``, and the values it
+    gives count with condition a but are not returned
+    (``retro_condition_values``).
 
     Both conditions contract as the parameters approach the boundary, close
     to a power law in k + 1, so the search predicts where the larger of
@@ -318,9 +328,9 @@ def choose_stage_index(
 
     def admissible(k: int) -> bool:
         if k not in probed:
-            conds, b = stage_condition_values(seq, axes, factors, projected, k)
+            values, b = stage_condition_values(seq, axes, factors, projected, k, retro)
+            conds, extra[k] = values[: len(factors)], values[len(factors) :]
             probed[k] = (k, conds, b)
-            extra[k] = retro(k) if retro else ()
             a = max((0.0, *conds))
             if max(a, b) < max(best["condition_a"], best["condition_b"]):
                 best.update({"index": k, "condition_a": a, "condition_b": b})
@@ -547,7 +557,7 @@ def run_universality(config: EngineConfig) -> UniversalityRun:
             try:
                 built = build_factor(config, lam, j, n_j, projected, images)
             except InterferenceBudgetExceeded:
-                bounds = functools.partial(retro_condition_values, seq, axes, images,
+                bounds = functools.partial(retro_condition_values, images,
                                            projected.approximant, eps_j)
                 n_j, conds_a, cond_b = search(n_j, retro=bounds)
                 built = build_factor(config, lam, j, n_j, projected, images)
@@ -605,6 +615,28 @@ def verify_orbit(
     one tree evaluation on a leading index axis (``transform_batch``); every
     point goes through the floating-point operations of evaluating one
     index at a time, so the values are those bit for bit.
+
+    The sweep is pruned, and exactly so. A point's value does not depend on
+    the array it is evaluated in, so the sup of |x o phi_k - f_i| over a few
+    points of the probe (``_RING_ANGLES`` angles of its outer ring per
+    coordinate) is a lower bound L_i(k) on the grid sup, bit for bit. Per
+    chunk, each target's index of least bound is evaluated on the whole
+    grid, where it can lower that target's best value so far, U_i; then
+    only the indices with L_i(k) <= U_i for some target are, and those are
+    scanned in order with strict ``<``. Any other index has a sup above a
+    value already reached, so the rows are those of the unpruned sweep. The
+    bound is also tight: x o phi_k - f_i is holomorphic, so by the maximum
+    principle its sup over the probe sits on the distinguished boundary of
+    radius r (Rudin, *Function Theory in Polydiscs*, 1969), which the ring
+    points sample. Each index is built by ``seq.at`` once and evaluated on
+    the whole grid at most once, and memory holds one chunk at a time.
+
+    A ``PoleHit`` (a Moebius denominator below ``POLE_TOL``) is raised only
+    at points that are evaluated: the ring points of every index, and every
+    grid point of the indices not pruned. A pruned index with a rounding
+    pole elsewhere on the grid is skipped without raising, where the
+    unpruned sweep raised. Mathematically x o phi_k is bounded by 1 there,
+    and its ring bound already exceeds a value reached, so it cannot win.
     """
     length = seq.length
     if indices is None:
@@ -621,24 +653,53 @@ def verify_orbit(
             raise ValidityError(f"orbit indices start at 1, got {k}")
         if length is not None and k > length:
             raise ValidityError(f"orbit index {k} is past the sequence length {length}")
-    axes = probe.axes()
-    target_grids = [t._eval(axes) for t in targets]
+    grid, ring = probe.axes(), probe.outer_ring(_RING_ANGLES)
+    grid_targets = [t._eval(grid) for t in targets]
+    ring_targets = [t._eval(ring) for t in targets]
     best = [{"target": i + 1, "best_index": None, "value": math.inf}
             for i in range(len(targets))]
-    size = max(1, _BATCH_POINTS // axes.shape[0])
+    # a chunk's ring points and a batch's grid points stay within _BATCH_POINTS
+    size = max(1, _BATCH_POINTS // _RING_ANGLES**probe.dimension)
+    batch = max(1, _BATCH_POINTS // grid.shape[0])
     for lo in range(0, len(indices), size):
         chunk = indices[lo : lo + size]
         # a helper, so a chunk's automorphisms are freed before the next's
-        errors = _orbit_errors(x, [seq.at(k) for k in chunk], axes, target_grids)
-        for pos, k in enumerate(chunk):
-            for i, err in enumerate(errors[:, pos].tolist()):
-                if err < best[i]["value"]:
-                    best[i] = {"target": i + 1, "best_index": k, "value": err}
+        _sweep_chunk(x, chunk, [seq.at(k) for k in chunk], (grid, grid_targets),
+                     (ring, ring_targets), batch, best)
     return best
 
 
+def _sweep_chunk(x, chunk, autos, grid, ring, batch, best) -> None:
+    """Fold the orbit indices ``chunk``, built as ``autos``, into the rows
+    ``best``, pruned as ``verify_orbit`` describes; ``grid`` and ``ring`` are
+    (points, target values there), and ``batch`` indices at most go into one
+    evaluation on the grid."""
+    bounds = _orbit_errors(x, autos, *ring)
+    values = {}  # position in the chunk -> grid sup per target
+
+    def evaluate(positions):
+        for lo in range(0, len(positions), batch):
+            part = positions[lo : lo + batch]
+            errors = _orbit_errors(x, [autos[p] for p in part], *grid)
+            values.update(zip(part, errors.T.tolist()))
+
+    # each target's least bound, where it can lower the target's best value
+    upper = np.array([row["value"] for row in best])
+    least = sorted({int(np.argmin(b)) for b, u in zip(bounds, upper) if b.min() < u})
+    evaluate(least)
+    for pos in least:
+        upper = np.fmin(upper, values[pos])
+    rest = np.flatnonzero((bounds <= upper[:, np.newaxis]).any(axis=0)).tolist()
+    evaluate([p for p in rest if p not in values])
+    for pos in sorted(values):
+        for i, err in enumerate(values[pos]):
+            if err < best[i]["value"]:
+                best[i] = {"target": i + 1, "best_index": chunk[pos], "value": err}
+
+
 def _orbit_errors(x, autos, axes, target_grids) -> np.ndarray:
-    """errors[i, pos] is the probe sup of |x o autos[pos] - target i|; each
+    """errors[i, pos] is the sup over ``axes`` of |x o autos[pos] - target i|,
+    ``target_grids[i]`` holding the target's values there; each
     permutation's share of ``autos`` is one tree evaluation."""
     groups: dict = {}
     for pos, phi in enumerate(autos):

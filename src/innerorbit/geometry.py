@@ -181,6 +181,14 @@ class CompactProbe:
         ``axes()`` in the same order."""
         return self.axes().to_array()
 
+    def outer_ring(self, angles: int) -> PointAxes:
+        """The points of ``axes()`` with every coordinate on the ring of
+        radius r, at every ceil(Q / angles)-th angle: at most
+        angles**dimension of them, each coordinate the grid's own value."""
+        q = self.points_per_dim
+        axis = self.axes().coords[0].ravel()
+        return PointAxes.tensor(axis[q + 1 :: math.ceil(q / angles)], self.dimension)
+
 
 def probe_sup(f, g, probe: CompactProbe) -> float:
     """Grid approximation of sup |f - g| over the probe.

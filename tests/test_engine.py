@@ -1,11 +1,16 @@
+import cmath
+import functools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from innerorbit import (
+    BlaschkeFactor,
     CompactProbe,
+    Composed,
     Constant,
     Coordinate,
     EngineConfig,
@@ -30,6 +35,7 @@ from innerorbit.engine import _corrector_index_for, stage_condition_values
 from innerorbit.errors import (
     InterferenceBudgetExceeded,
     NoBoundaryConvergence,
+    PoleHit,
     PrecisionExhausted,
     SequenceExhausted,
     UnsupportedTargetShape,
@@ -196,6 +202,31 @@ def test_re_search_lands_just_above_the_first_passing_index():
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if passes(mid) else (mid, hi)
     assert hi <= second.chosen_index <= 1.001 * hi
+
+
+def test_a_re_search_probe_builds_its_automorphism_once(monkeypatch):
+    # the retroactive bounds of a re-search probe reuse the probe's phi_k,
+    # its image of the grid and its inverse, and give what they give alone
+    seq = constant_sequence()
+    probe = CompactProbe.create(0.3, 1, 64)
+    axes = probe.axes()
+    first = seq.at(400).transform(axes)
+    projected, _ = project_to_family(Power(Coordinate(1, 1), 3), TorusPoint((1.0,)),
+                                     14, 0.0125, probe, EngineConfig.schur_depth)
+    bounds = functools.partial(engine.retro_condition_values, [first],
+                               projected.approximant, 0.0125)
+    phi = seq.at(5_000)
+    alone = bounds(phi.transform(axes), auto_inverse(phi))
+    calls = []
+    monkeypatch.setattr(seq, "at", lambda k, at=seq.at: calls.append("at") or at(k))
+    monkeypatch.setattr(engine, "auto_inverse",
+                        lambda phi, inv=auto_inverse: calls.append("inverse") or inv(phi))
+    factors = [Coordinate(1, 1)]
+    values, b = stage_condition_values(seq, axes, factors, projected.product, 5_000,
+                                       bounds)
+    assert calls == ["at", "inverse"]
+    plain, cond_b = stage_condition_values(seq, axes, factors, projected.product, 5_000)
+    assert (values, b) == (plain + alone, cond_b)
 
 
 def test_condition_b_contracts_with_index():
@@ -493,6 +524,24 @@ def fitted_product():
     return run.product, seq, targets, probe
 
 
+#: probes of the pruned-sweep checks: the default grid at n = 1, small grids
+#: at n = 2 and 3 so that the index-at-a-time reference stays fast
+PRUNE_PROBES = {1: CompactProbe.create(0.3, 1), 2: CompactProbe.create(0.3, 2, 6),
+                3: CompactProbe.create(0.25, 3, 3)}
+
+
+def random_sequence(rng, n):
+    """A generated sequence with a random direction, rate, angle cycle and
+    permutation cycle."""
+    return GeneratedSequence(
+        direction=tuple(complex(np.exp(1j * rng.uniform(-math.pi, math.pi)))
+                        for _ in range(n)),
+        rate=rng.uniform(0.3, 1.0),
+        theta_cycle=tuple(tuple(rng.uniform(-0.5, 0.5, n)) for _ in range(2)),
+        perm_cycle=tuple(tuple(int(p) for p in rng.permutation(n)) for _ in range(2)),
+    )
+
+
 def sweep_cases():
     """(x, sequence, targets, probe, indices) for the batched sweep."""
     rng = np.random.default_rng(7000)
@@ -511,6 +560,19 @@ def sweep_cases():
     x3 = random_tree(rng, 3)
     cases.append((x3, explicit_sequence(rng, 3, 30), (random_tree(rng, 3),),
                   probe3, [30, 1, 29, 1, 15]))
+    # sweeps of many chunks, which the ring bounds prune: random products
+    # on random sequences; unsorted indices with duplicates on the 1,2|2,1
+    # permutation cycle; an explicit sequence, whose values do not settle
+    for n, probe in PRUNE_PROBES.items():
+        xn = random_tree(rng, n)
+        targets_n = (random_tree(rng, n), random_tree(rng, n))
+        cases.append((xn, random_sequence(rng, n), targets_n, probe, range(1, 2_001)))
+    x2 = random_tree(rng, 2)
+    targets2 = (random_tree(rng, 2), random_tree(rng, 2))
+    cases.append((x2, cycle_sequence(), targets2, PRUNE_PROBES[2],
+                  [int(k) for k in rng.integers(1, 2_001, size=2_000)]))
+    cases.append((x2, explicit_sequence(rng, 2, 500), targets2, PRUNE_PROBES[2],
+                  [int(k) for k in rng.integers(1, 501, size=500)]))
     return cases
 
 
@@ -521,7 +583,7 @@ def test_verify_orbit_equals_one_index_at_a_time(monkeypatch, batch):
         if batch == "below_one_index":
             monkeypatch.setattr(engine, "_BATCH_POINTS", points - 1)
         elif batch == "not_dividing":
-            # chunks of 7 indices: no sweep here is a multiple of 7
+            # grid batches of 7 indices: no sweep here is a multiple of 7
             monkeypatch.setattr(engine, "_BATCH_POINTS", 7 * points + 3)
             assert len(indices) % 7
         expected = reference_sweep(x, seq, targets, probe, list(indices))
@@ -539,6 +601,10 @@ def test_verify_orbit_constant_reports_the_first_index():
     assert rows[0] == {"target": 1, "best_index": 7, "value": 0.3}
     rows = verify_orbit(x, cycle_sequence(), targets, probe, 60)
     assert rows[0]["best_index"] == 1
+    # every index ties on every target, in chunks the ring bounds prune
+    indices = [int(k) for k in np.random.default_rng(7300).permutation(2_000) + 1]
+    rows = verify_orbit(x, cycle_sequence(), targets, probe, 0, indices)
+    assert [row["best_index"] for row in rows] == [indices[0], indices[0]]
 
 
 @pytest.mark.parametrize("indices", [[0], [-5, 3], [1, 2, 3, 0]])
@@ -578,6 +644,108 @@ def test_verify_orbit_memory_does_not_grow_with_the_horizon():
     assert rows[1][0]["value"] <= rows[0][0]["value"]
     with pytest.raises(ValidityError, match="no orbit indices"):
         verify_orbit(x, constant_sequence(), targets, probe, 0)
+
+
+def full_grid_indices(monkeypatch, probe):
+    """The indices that ``verify_orbit`` evaluates on the whole grid of
+    ``probe``, counted from ``engine._orbit_errors``."""
+    evaluated = []
+    errors = engine._orbit_errors
+
+    def counted(x, autos, axes, target_grids):
+        if axes is probe.axes():
+            evaluated.extend(autos)
+        return errors(x, autos, axes, target_grids)
+
+    monkeypatch.setattr(engine, "_orbit_errors", counted)
+    return evaluated
+
+
+def test_sweep_builds_each_index_once_and_evaluates_it_at_most_once(monkeypatch):
+    for x, seq, targets, probe, indices in sweep_cases():
+        built = []  # (k, seq.at(k)) per call
+        monkeypatch.setattr(
+            seq, "at", lambda k, at=seq.at: built.append((k, at(k))) or built[-1][1])
+        evaluated = full_grid_indices(monkeypatch, probe)
+        verify_orbit(x, seq, targets, probe, 0, list(indices))
+        assert [k for k, _ in built] == list(indices)
+        # an explicit sequence gives a duplicated index the same object
+        assert Counter(map(id, evaluated)) <= Counter(id(phi) for _, phi in built)
+
+
+def test_pruned_sweep_when_the_sup_lies_off_the_outer_ring():
+    # x o phi_k - f = e^{4 i t_k} z^4 - r^4 for rotations phi_k by t_k: on
+    # the 4 outer-ring angles it is (e^{4 i t_k} - 1) r^4, at the centre
+    # -r^4. Where |e^{4 i t_k} - 1| < 1 the grid sup is r^4, at the centre,
+    # and the ring bound is loose; those indices tie, and the first wins
+    probe = CompactProbe.create(0.5, 1, 4)
+    angles = [0.7, 0.05, 0.6, 0.0, 0.1, 0.75, 0.02]
+    seq = ExplicitSequence(
+        PolydiskAutomorphism((MobiusFactor(0.0, math.pi + t),), (0,)) for t in angles
+    )
+    x = Power(Coordinate(1, 1), 4)
+    targets = (Constant(0.5**4, 1),)
+    rows = verify_orbit(x, seq, targets, probe, len(angles))
+    assert rows == reference_sweep(x, seq, targets, probe, range(1, len(angles) + 1))
+    assert rows[0]["best_index"] == 2
+    ring = probe.outer_ring(engine._RING_ANGLES)
+    bound = float(np.max(np.abs(x._eval(seq.at(2).transform(ring)) - 0.5**4)))
+    assert bound < 0.5 * rows[0]["value"]
+
+
+def test_pruned_sweep_keeps_an_earlier_index_whose_bound_ties():
+    # phi_k sends ring point z_k to 0 and the probe into the disk of radius
+    # 1/2 about 1/2, so |x o phi_k - 1/2| reaches 1/2, exactly, at z_k
+    # only. z_1 is a ring point the bound samples, z_2 is not: index 2 has
+    # the least bound and sets U = 1/2, and index 1, whose bound is U
+    # itself, must still be evaluated, as it comes first
+    probe = CompactProbe.create(0.5, 1, 16)
+    axis = probe.axes().coords[0].ravel()
+    seq = ExplicitSequence(
+        PolydiskAutomorphism((MobiusFactor(z, -cmath.phase(z)),), (0,))
+        for z in map(complex, axis[17:19])
+    )
+    x, targets = Coordinate(1, 1), (Constant(0.5, 1),)
+    ring = probe.outer_ring(engine._RING_ANGLES)
+    bounds = [float(np.max(np.abs(seq.at(k).transform(ring).coords[0] - 0.5)))
+              for k in (1, 2)]
+    assert bounds[1] < bounds[0] == 0.5
+    rows = verify_orbit(x, seq, targets, probe, 2)
+    assert rows == reference_sweep(x, seq, targets, probe, [1, 2])
+    assert rows == [{"target": 1, "best_index": 1, "value": 0.5}]
+
+
+def test_monotone_sweep_evaluates_few_indices_on_the_grid(monkeypatch):
+    # the fitted product's sup falls at every index up to 250, so only
+    # each target's least bound is evaluated on the whole grid
+    x, seq, targets, probe = fitted_product()
+    evaluated = full_grid_indices(monkeypatch, probe)
+    rows = verify_orbit(x, seq, targets, probe, 250)
+    assert rows == reference_sweep(x, seq, targets, probe, range(1, 251))
+    assert [row["best_index"] for row in rows] == [250, 250]
+    assert 1 <= len(evaluated) <= 2
+
+
+def test_pruned_index_with_a_pole_on_the_grid_raises_nothing():
+    # x has its zero b within 2.3e-16 of the circle, at outer-ring angle
+    # 2 pi / 64 of a probe of radius 1 - 3.3e-16: the identity (index 2)
+    # takes that ring point to within 5e-16 of the pole 1 / conj(b), while
+    # the ring bound samples only every eighth angle. Index 1, a rotation by
+    # half an angle step, reproduces the target, so index 2 is pruned and
+    # its pole is never evaluated; swept alone, or unpruned, it raises
+    probe = CompactProbe.create(1.0 - 3 * 2.0**-53, 1, 64)
+    on_ring = complex(probe.axes().coords[0].ravel()[64 + 2])
+    x = BlaschkeFactor(MobiusFactor((1.0 - 2.0**-52) * (on_ring / abs(on_ring)), 0.0))
+    half_step = PolydiskAutomorphism((MobiusFactor(0.0, math.pi + math.pi / 64),), (0,))
+    seq = ExplicitSequence([half_step, PolydiskAutomorphism.identity(1)])
+    targets = (Composed(half_step, x),)
+    row = {"target": 1, "best_index": 1, "value": 0.0}
+    assert verify_orbit(x, seq, targets, probe, 2) == [row]
+    assert verify_orbit(x, seq, targets, probe, 0, [2, 1]) == [row]
+    with pytest.raises(PoleHit):
+        verify_orbit(x, seq, targets, probe, 0, [2])
+    with pytest.raises(PoleHit):
+        reference_sweep(x, seq, targets, probe, [1, 2])
 
 
 def test_run_two_targets_n3():

@@ -129,7 +129,7 @@ def run_search(monkeypatch, search, selection, value, floor, k_max, carrier="b")
     so an index the sequence cannot represent is refused there."""
     probes = []
 
-    def synthetic(seq, axes, factors, projected, k):
+    def synthetic(seq, axes, factors, projected, k, retro=None):
         seq.at(k)
         probes.append(k)
         g = value(k)

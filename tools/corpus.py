@@ -4,7 +4,7 @@
     python3 tools/corpus.py OUT_DIR
 
 Run from anywhere; the program and the benchmark's config generators are
-imported from this checkout. The corpus is 405 runs:
+imported from this checkout. The corpus is 420 runs:
 
 - the three ``configs/*.ini``, under ``OUT_DIR/configs/<name>/``;
 - the benchmark shapes ``n1_two``, ``n2_swap``, ``n1_three`` and
@@ -20,7 +20,13 @@ imported from this checkout. The corpus is 405 runs:
 - for seeds 0-4, the runs of one ``diagnose`` and one ``orbit-sweep``
   benchmark op on the products of that seed's ``n1_two`` and ``n2_swap``:
   ``good-inner`` and ``diagnose-inner`` at n = 1 and n = 2, and the
-  ``verify-orbit`` sweeps to k = 250, under ``OUT_DIR/<run>_s<seed>/``.
+  ``verify-orbit`` sweeps to k = 250, under ``OUT_DIR/<run>_s<seed>/``;
+- for seeds 0-4, ``verify-orbit`` sweeps to k = 2 000 on the products of
+  ``n1_two``, ``n2_swap`` and ``n2_permcycle``, under
+  ``OUT_DIR/sweep2000_<shape>_s<seed>/``. They pass the first target's
+  best index (k = 733-1 015), after which its sup rises again, so the
+  pruned sweep evaluates far more of their indices on the whole grid than
+  of the sweeps to 250, which it all but skips.
 
 Each generated config is written next to its output directory. Prints the
 number of runs per exit code. Compare the trees of two checkouts with
@@ -91,6 +97,9 @@ CYCLE_SHAPES = (n1_cycle, n2_permcycle, n1_sparse, n1_schur, n2_schur)
 CYCLE_SEEDS = range(10)
 #: seeds whose products also run the diagnose and orbit-sweep modes
 MODE_SEEDS = range(5)
+#: the shapes whose products those seeds also sweep to LONG_SWEEP_K
+LONG_SWEEP_SHAPES = (wl.n1_two, wl.n2_swap, n2_permcycle)
+LONG_SWEEP_K = 2_000
 
 
 def _run(config: Path, out: Path) -> int:
@@ -110,16 +119,19 @@ def _verify(out_root: Path, label: str, text: str, out: Path, tally: Counter):
     tally[_run(run.config, run.out)] += 1
 
 
+def _product(out_root: Path, shape, seed: int) -> str:
+    """The product the corpus built for ``shape`` and ``seed``."""
+    report = out_root / f"{shape.__name__}_s{seed}" / "report.json"
+    return json.loads(report.read_text(encoding="utf-8"))["results"]["x_expression"]
+
+
 def _mode_runs(out_root: Path, seed: int) -> dict:
     """Label -> config text of the runs of one ``diagnose`` and one
-    ``orbit-sweep`` op, on the products the corpus built for ``seed``."""
+    ``orbit-sweep`` op, on the products the corpus built for ``seed``, and
+    of the sweeps to LONG_SWEEP_K."""
     inputs = wl.Inputs.from_seed(seed)
     shapes = {1: wl.n1_two, 2: wl.n2_swap}
-    products = {
-        n: json.loads((out_root / f"{shape.__name__}_s{seed}" / "report.json")
-                      .read_text(encoding="utf-8"))["results"]["x_expression"]
-        for n, shape in shapes.items()
-    }
+    products = {n: _product(out_root, shape, seed) for n, shape in shapes.items()}
     targets = {1: [products[1]] + [wl._blaschke_n1(z) for z in inputs.zeros_n1],
                2: [products[2]] + [wl._blaschke_n2(z) for z in inputs.zeros_n2]}
     texts = {}
@@ -129,6 +141,9 @@ def _mode_runs(out_root: Path, seed: int) -> dict:
                 mode, inputs, n, targets[n])
         texts[f"sweep_n{n}_s{seed}"] = wl.verify_config(
             shape(inputs), products[n], f"k = {wl.SWEEP_K}")
+    for shape in LONG_SWEEP_SHAPES:
+        texts[f"sweep2000_{shape.__name__}_s{seed}"] = wl.verify_config(
+            shape(inputs), _product(out_root, shape, seed), f"k = {LONG_SWEEP_K}")
     return texts
 
 
