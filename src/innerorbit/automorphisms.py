@@ -318,7 +318,10 @@ class GeneratedSequence:
     def at(self, k: int) -> PolydiskAutomorphism:
         if k < 1:
             raise IndexError("sequence indices start at 1")
-        modulus = 1.0 - self.rate / (k + 1.0)
+        try:
+            modulus = 1.0 - self.rate / (k + 1.0)
+        except OverflowError:  # k past binary64 range: 1 - rate/(k+1) rounds to 1
+            modulus = 1.0
         thetas = self.theta_cycle[(k - 1) % len(self.theta_cycle)]
         perm = self.perm_cycle[(k - 1) % len(self.perm_cycle)]
         try:
@@ -392,7 +395,7 @@ def select_subsequence(
     seq,
     horizon: int,
     angle_tol: float,
-    boundary_tol: float = 0.05,
+    boundary_tol: float,
 ) -> SubsequenceSelection:
     """Stabilize permutation and angles over indices 1..horizon.
 

@@ -19,12 +19,13 @@ import configparser
 import csv
 import ctypes
 import functools
+import inspect
 import io
 import json
 import math
 import sys
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -173,11 +174,6 @@ class Report:
         return render_document(self.document(include_timings)) + "\n"
 
 
-#: the [engine] keys, in report order: the EngineConfig fields with a
-#: default, each parsed with the type of its default
-_ENGINE_FIELDS = tuple(f for f in fields(EngineConfig) if f.default is not MISSING)
-
-
 def _finite(x):
     """``x`` once it is finite: a NaN or an infinity has no JSON form in
     the report."""
@@ -188,6 +184,24 @@ def _finite(x):
 
 def _real(text: str) -> float:
     return _finite(float(text))
+
+
+def _reals(text: str) -> list:
+    return [_real(x) for x in text.split(",")]
+
+
+def _ints(text: str) -> list:
+    return [int(x) for x in text.split(",")] if text else []
+
+
+def _binary64_int(text: str) -> int:
+    """An integer within binary64 range: the stage-index search takes the
+    logarithm of ``k_max + 1.0``, which overflows past it."""
+    n = int(text)
+    if not abs(n) <= sys.float_info.max:
+        raise ValueError("must lie within binary64 range, at most "
+                         f"{format_real(sys.float_info.max)} in magnitude")
+    return n
 
 
 def _mode(text: str) -> str:
@@ -248,76 +262,82 @@ def _autos(dimension: int):
     return parse
 
 
-# (parser, formatter) of each value type
-_REAL = (_real, format_real)
-_REALS = (lambda t: [_real(x) for x in t.split(",")],
-          lambda v: ",".join(map(format_real, v)))
-_INT = (int, str)
-_INTS = (lambda t: [int(x) for x in t.split(",")] if t else [],
-         lambda v: ",".join(map(str, v)))
-_TEXT = (str, str)
+def _ini_text(value) -> str:
+    """The INI text of a parsed value, which its key's parser reads back:
+    a list is comma-separated, or `|`-separated when it holds ``auto{...}``
+    literals."""
+    if isinstance(value, (list, tuple)):
+        sep = " | " if value and isinstance(value[0], str) else ","
+        return sep.join(map(_ini_text, value))
+    if isinstance(value, float):
+        return format_real(value)
+    if isinstance(value, complex):
+        return format_complex(value)
+    return str(value)
 
 
-def _engine_row(default) -> tuple:
-    parse, fmt = _REAL if isinstance(default, float) else _INT
-    return parse, fmt, fmt(default)
+def _typed(default) -> tuple:
+    """The schema row of a key parsed with the type of its library default."""
+    return {float: _real, int: _binary64_int, tuple: _reals}[type(default)], default
+
+
+@functools.cache
+def _keyword_defaults(fn) -> dict:
+    """The schema rows of the parameters of ``fn`` that have a default
+    (cached: reading a signature costs more than the rest of a schema)."""
+    return {name: _typed(p.default)
+            for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not p.empty}
 
 
 #: [run] keys; the other sections' defaults may depend on its dimension
 _RUN = {
-    "mode": (_mode, str, None),
-    "dimension": (_positive, str, "1"),
-    "seed": (*_INT, "0"),
+    "mode": (_mode, None),
+    "dimension": (_positive, 1),
+    "seed": (int, 0),
 }
 
 
 def _schema(dimension: int) -> dict:
-    """Section -> key -> (parser, formatter, default), keys in report order.
+    """Section -> key -> (parser, default), keys in report order.
 
-    A default is text, so it goes through the parser a user's value goes
-    through; None marks a required key. [sequence] has one such table per
-    kind, and [targets] (free-form keys) has none.
+    A default is a parsed value; its INI text goes through the parser a
+    user's value goes through. None marks a required key. [sequence] has
+    one such table per kind, and [targets] (free-form keys) has none.
     """
-    kind = (*_TEXT, "generated")
+    kind = (str, "generated")
     return {
         "sequence": {
             "generated": {
                 "kind": kind,
-                "lambda": (_direction(dimension),
-                           lambda v: ",".join(map(format_complex, v)), None),
-                "rate": (lambda t: check_rate(_real(t)), format_real, "1.0"),
-                "theta": (_cycle(lambda x: format_real(_real(x)), dimension), str,
-                          ",".join(["0.0"] * dimension)),
+                "lambda": (_direction(dimension), None),
+                "rate": (lambda t: check_rate(_real(t)), 1.0),
+                "theta": (_cycle(lambda x: format_real(_real(x)), dimension),
+                          [0.0] * dimension),
                 "perm": (_cycle(lambda x: str(int(x)), dimension,
-                                _permutation(dimension)), str,
-                         ",".join(map(str, range(1, dimension + 1)))),
+                                _permutation(dimension)),
+                         list(range(1, dimension + 1))),
             },
-            "explicit": {"kind": kind, "autos": (_autos(dimension), " | ".join, None)},
+            "explicit": {"kind": kind, "autos": (_autos(dimension), None)},
         },
         "probe": {
-            "radius": (*_REAL, "0.3"),
-            "points_per_dim": (*_INT, str(default_points_per_dim(dimension))),
+            "radius": (_real, 0.3),
+            "points_per_dim": (int, default_points_per_dim(dimension)),
         },
-        "engine": {f.name: _engine_row(f.default) for f in _ENGINE_FIELDS},
-        "diagnostics": {
-            "radii": (*_REALS, "0.9,0.99,0.999"),
-            "angles_per_dim": (*_INT, "256"),
-        },
-        "good_inner": {
-            "radii": (*_REALS, "0.9,0.99,0.999"),
-            "quad_points": (*_INT, "512"),
-            "clamp": (*_REAL, "40.0"),
-            "tolerance": (*_REAL, "0.02"),
-        },
+        # the EngineConfig fields with a default, in field order
+        "engine": {f.name: _typed(f.default) for f in fields(EngineConfig)
+                   if f.default is not MISSING},
+        "diagnostics": _keyword_defaults(radial_modulus_report),
+        "good_inner": _keyword_defaults(good_inner_trend),
         "verify": {
-            "x": (*_TEXT, ""),
-            "k": (*_INT, "0"),
-            "random_points": (*_INT, "0"),
-            "indices": (*_INTS, ""),
+            "x": (str, ""),
+            "k": (int, 0),
+            "random_points": (int, 0),
+            "indices": (_ints, []),
         },
         "output": {
-            "report": (*_TEXT, "report.json"),
-            "tables": (*_TEXT, "tables"),
+            "report": (str, "report.json"),
+            "tables": (str, "tables"),
         },
     }
 
@@ -334,10 +354,12 @@ def _read(cp, section: str, table: dict, owner: str = "") -> dict:
                 "accepts " + ", ".join(table)
             )
     values = {}
-    for key, (parse, _, default) in table.items():
-        text = given.get(key, default)
+    for key, (parse, default) in table.items():
+        text = given.get(key)
         if text is None:
-            raise ConfigError(f"[{section}] {key} is required")
+            if default is None:
+                raise ConfigError(f"[{section}] {key} is required")
+            text = _ini_text(default)
         try:
             values[key] = parse(text.strip())
         except (ValueError, InnerOrbitError) as exc:
@@ -414,18 +436,13 @@ def _validate_config(cfg: RunConfig) -> None:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical INI text; parsing it back reproduces cfg exactly."""
-    schema = {"run": _RUN, **_schema(cfg.dimension)}
     lines = []
     for section, values in cfg.canonical_dict().items():
         if not values:  # no [sequence] or no [targets]
             continue
         if section == "targets":
-            body = [f"f{i} = {expr}" for i, expr in enumerate(values, start=1)]
-        else:
-            table = schema[section]
-            if section == "sequence":
-                table = table[values["kind"]]
-            body = [f"{key} = {table[key][1](v)}" for key, v in values.items()]
+            values = {f"f{i}": expr for i, expr in enumerate(values, start=1)}
+        body = [f"{key} = {_ini_text(v)}" for key, v in values.items()]
         lines += [f"[{section}]", *body, ""]
     return "\n".join(lines)
 
@@ -454,65 +471,59 @@ def build_probe(cfg: RunConfig) -> CompactProbe:
 
 
 # ---------------------------------------------------------------------------
-# modes
+# modes: each returns its results, its CSV tables (file name -> (header,
+# rows)) and its exit code; a table's rows are read off the results' rows
 
-def _mode_diagnose(cfg: RunConfig, out_dir: Path):
-    targets = build_targets(cfg)
-    rows = []
-    results = []
-    for i, (expr, f) in enumerate(zip(cfg.targets, targets), start=1):
-        report = radial_modulus_report(
-            f, cfg.diagnostics["radii"], cfg.diagnostics["angles_per_dim"]
-        )
-        results.append(
-            {
-                "target": i,
-                "expression": expr,
-                "radii": list(report.radii),
-                "deviations": list(report.deviations),
-            }
-        )
-        for r, d in zip(report.radii, report.deviations):
-            rows.append([i, expr, r, d])
-    write_csv(
-        out_dir / "radial_modulus.csv",
-        ["target", "expression", "radius", "deviation"],
-        rows,
-    )
-    return {"radial": results}, 0
+#: the CSV columns that are not fields of the report rows, each read off a row
+_COMPUTED = {
+    "condition_a_max": lambda row: max(row["condition_a"], default=0.0),
+    "retro_max": lambda row: max(row["retro_interference"], default=0.0),
+    "min_error": lambda row: row["value"],
+}
 
 
-def _mode_good_inner(cfg: RunConfig, out_dir: Path):
-    targets = build_targets(cfg)
-    params = cfg.good_inner
-    rows = []
-    results = []
-    for i, (expr, f) in enumerate(zip(cfg.targets, targets), start=1):
-        report = good_inner_trend(
-            f,
-            params["radii"],
-            params["quad_points"],
-            params["clamp"],
-            params["tolerance"],
-        )
-        results.append(
-            {
-                "target": i,
-                "expression": expr,
-                "radii": list(report.radii),
-                "values": list(report.values),
-                "clamp_counts": list(report.clamp_counts),
-                "passed": report.passed,
-            }
-        )
-        for r, v, c in zip(report.radii, report.values, report.clamp_counts):
-            rows.append([i, expr, r, v, c])
-    write_csv(
-        out_dir / "good_inner.csv",
-        ["target", "expression", "radius", "log_mean", "clamp_count"],
-        rows,
-    )
-    return {"good_inner": results}, 0
+def _table(rows, *columns) -> tuple:
+    """The CSV table of the report rows ``rows``: a column is a field of
+    the rows or a _COMPUTED one."""
+    return columns, [[_COMPUTED[c](row) if c in _COMPUTED else row[c]
+                      for c in columns] for row in rows]
+
+
+def _radius_table(rows, *columns) -> tuple:
+    """The CSV table of diagnostic report rows, a row per target and
+    radius: the target and its expression, then the per-radius (list)
+    fields of its report row in order, which the later ``columns`` name."""
+    return columns, [
+        [row["target"], row["expression"], *cells] for row in rows
+        for cells in zip(*(v for v in row.values() if isinstance(v, list)))]
+
+
+def _fields(record) -> dict:
+    """The fields of a report dataclass other than nested records, tuples
+    as lists."""
+    return {f.name: list(v) if isinstance(v, tuple) else v for f in fields(record)
+            if not is_dataclass(v := getattr(record, f.name))}
+
+
+def _target_rows(cfg: RunConfig, report) -> list:
+    """Per target: its number, its expression and the fields of its
+    ``report``."""
+    pairs = zip(cfg.targets, build_targets(cfg))
+    return [{"target": i, "expression": expr, **_fields(report(f))}
+            for i, (expr, f) in enumerate(pairs, start=1)]
+
+
+def _mode_diagnose(cfg: RunConfig):
+    rows = _target_rows(cfg, lambda f: radial_modulus_report(f, **cfg.diagnostics))
+    table = _radius_table(rows, "target", "expression", "radius", "deviation")
+    return {"radial": rows}, {"radial_modulus.csv": table}, 0
+
+
+def _mode_good_inner(cfg: RunConfig):
+    rows = _target_rows(cfg, lambda g: good_inner_trend(g, **cfg.good_inner))
+    table = _radius_table(rows, "target", "expression", "radius", "log_mean",
+                          "clamp_count")
+    return {"good_inner": rows}, {"good_inner.csv": table}, 0
 
 
 def _selection_payload(selection) -> dict:
@@ -527,79 +538,33 @@ def _selection_payload(selection) -> dict:
     }
 
 
-def _mode_construct(cfg: RunConfig, out_dir: Path):
-    seq = build_sequence(cfg)
-    targets = build_targets(cfg)
-    probe = build_probe(cfg)
-    run = run_universality(
-        EngineConfig(sequence=seq, targets=targets, probe=probe, **cfg.engine)
-    )
-
-    stage_rows = []
-    stage_payload = []
-    for s in run.stages:
-        stage_payload.append(
-            {
-                "stage": s.stage,
-                "chosen_index": s.chosen_index,
-                "corrector_index": s.corrector_index,
-                "fidelity": s.fidelity,
-                "projection_error": s.projection_error,
-                "condition_a": list(s.condition_a),
-                "condition_b": s.condition_b,
-                "retro_interference": list(s.retro_interference),
-                "roundtrip_error": s.roundtrip_error,
-                "factor_expression": serialize_function(s.factor.product),
-            }
-        )
-        stage_rows.append(
-            [
-                s.stage,
-                s.chosen_index,
-                s.corrector_index,
-                s.fidelity,
-                s.projection_error,
-                s.condition_b,
-                max(s.condition_a) if s.condition_a else 0.0,
-                max(s.retro_interference) if s.retro_interference else 0.0,
-                s.roundtrip_error,
-            ]
-        )
-    write_csv(
-        out_dir / "stages.csv",
-        [
-            "stage", "chosen_index", "corrector_index", "fidelity",
-            "projection_error", "condition_b", "condition_a_max",
-            "retro_max", "roundtrip_error",
-        ],
-        stage_rows,
-    )
-
-    verification_payload = []
-    verification_rows = []
-    for row in run.verification:
-        expr = cfg.targets[row["target"] - 1]
-        verification_payload.append({**row, "expression": expr})
-        verification_rows.append(
-            [row["target"], expr, row["best_index"], row["value"], row["bound"]]
-        )
-    write_csv(
-        out_dir / "verification.csv",
-        ["target", "expression", "best_index", "value", "bound"],
-        verification_rows,
-    )
-
+def _mode_construct(cfg: RunConfig):
+    run = run_universality(EngineConfig(
+        sequence=build_sequence(cfg), targets=build_targets(cfg),
+        probe=build_probe(cfg), **cfg.engine))
+    stages = [{**_fields(s), "factor_expression": serialize_function(s.factor.product)}
+              for s in run.stages]
+    verification = [{**row, "expression": cfg.targets[row["target"] - 1]}
+                    for row in run.verification]
     results = {
         "selection": _selection_payload(run.selection),
-        "stages": stage_payload,
+        "stages": stages,
         "x_expression": (
             serialize_function(run.product) if run.product is not None else None
         ),
         "recorded_indices": list(run.recorded_indices()),
-        "verification": verification_payload,
+        "verification": verification,
         "failure": run.failure,
     }
-    return results, (0 if run.failure is None else 2)
+    tables = {
+        "stages.csv": _table(
+            stages, "stage", "chosen_index", "corrector_index", "fidelity",
+            "projection_error", "condition_b", "condition_a_max", "retro_max",
+            "roundtrip_error"),
+        "verification.csv": _table(
+            verification, "target", "expression", "best_index", "value", "bound"),
+    }
+    return results, tables, (0 if run.failure is None else 2)
 
 
 def _sample_points(seed: int, count: int, radius: float, dimension: int):
@@ -611,44 +576,27 @@ def _sample_points(seed: int, count: int, radius: float, dimension: int):
     return r * np.exp(1j * ang)
 
 
-def _mode_verify(cfg: RunConfig, out_dir: Path):
+def _mode_verify(cfg: RunConfig):
     seq = build_sequence(cfg)
     targets = build_targets(cfg)
     probe = build_probe(cfg)
     x = parse_function_dsl(cfg.verify["x"], cfg.dimension)
     indices = cfg.verify["indices"] or None
-    rows = verify_orbit(x, seq, targets, probe, cfg.verify["k"], indices)
-
-    sample = None
+    rows = [{**row, "expression": cfg.targets[row["target"] - 1]}
+            for row in verify_orbit(x, seq, targets, probe, cfg.verify["k"], indices)]
     if cfg.verify["random_points"] > 0:
         sample = _sample_points(
             cfg.seed, cfg.verify["random_points"],
             cfg.probe["radius"], cfg.dimension,
         )
-    payload = []
-    csv_rows = []
-    for row in rows:
-        expr = cfg.targets[row["target"] - 1]
-        entry = {**row, "expression": expr}
-        if sample is not None:
-            phi = seq.at(row["best_index"])
+        for row in rows:
+            image = seq.at(row["best_index"]).transform(sample)
             target = targets[row["target"] - 1]
-            entry["random_point_error"] = float(
-                np.max(
-                    np.abs(
-                        x.eval_grid(phi.transform(sample))
-                        - target.eval_grid(sample)
-                    )
-                )
+            row["random_point_error"] = float(
+                np.max(np.abs(x.eval_grid(image) - target.eval_grid(sample)))
             )
-        payload.append(entry)
-        csv_rows.append([row["target"], expr, row["best_index"], row["value"]])
-    write_csv(
-        out_dir / "orbit.csv",
-        ["target", "expression", "best_index", "min_error"],
-        csv_rows,
-    )
-    return {"orbit": payload}, 0
+    table = _table(rows, "target", "expression", "best_index", "min_error")
+    return {"orbit": rows}, {"orbit.csv": table}, 0
 
 
 _MODE_IMPL = {
@@ -720,12 +668,14 @@ def run_cli(argv=None) -> int:
 
     started = time.perf_counter()
     try:
-        results, code = _MODE_IMPL[cfg.mode](cfg, tables_dir)
+        results, tables, code = _MODE_IMPL[cfg.mode](cfg)
     except InnerOrbitError as exc:
         results = {
             "failure": {"error": type(exc).__name__, "message": str(exc)}
         }
-        code = 2
+        tables, code = {}, 2
+    for name, (header, rows) in tables.items():
+        write_csv(tables_dir / name, header, rows)
     elapsed = time.perf_counter() - started
 
     report = Report(

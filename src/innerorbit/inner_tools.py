@@ -87,8 +87,12 @@ class RadialReport:
     deviations: tuple
 
 
+#: the radii of the diagnostics unless a caller gives others
+_RADII = (0.9, 0.99, 0.999)
+
+
 def radial_modulus_report(
-    f: HoloFunction, radii, angles_per_dim: int = 256
+    f: HoloFunction, radii=_RADII, angles_per_dim: int = 256
 ) -> RadialReport:
     """max over the angle grid of |1 - |f(r zeta)|| for each radius."""
     radii = tuple(float(r) for r in radii)
@@ -109,7 +113,7 @@ def radial_modulus_report(
 
 
 def good_inner_integral_detail(
-    g: HoloFunction, r: float, quad_points: int = 512, clamp: float = 40.0
+    g: HoloFunction, r: float, quad_points: int, clamp: float
 ):
     """Torus mean of max(log|g(r zeta)|, -clamp) and the clamp count.
 
@@ -182,7 +186,7 @@ _TREND_SLACK = 1e-9
 
 def good_inner_trend(
     g: HoloFunction,
-    radii=(0.9, 0.99, 0.999),
+    radii=_RADII,
     quad_points: int = 512,
     clamp: float = 40.0,
     tolerance: float = 0.02,

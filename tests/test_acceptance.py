@@ -125,7 +125,7 @@ def test_criterion_3_quadrature_vs_jensen():
         for z in zeros:
             value_at_0 *= abs(z)
         for r in (0.3, 0.9, 0.99):
-            quad = good_inner_integral_detail(tree, r, quad_points=512)[0]
+            quad = good_inner_integral_detail(tree, r, quad_points=512, clamp=40.0)[0]
             oracle = jensen_oracle(zeros, value_at_0, r)
             worst = max(worst, abs(quad - oracle))
             assert abs(quad - oracle) <= 1e-6

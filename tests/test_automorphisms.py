@@ -314,7 +314,7 @@ def test_generated_sequence_matches_formula():
 
 def test_select_constant_sequence():
     seq = _constant_sequence()
-    sel = select_subsequence(seq, 64, math.pi / 16)
+    sel = select_subsequence(seq, 64, math.pi / 16, 0.05)
     assert sel.indices == tuple(range(1, 65))
     assert sel.permutation == (0,)
     assert sel.lam.coords[0] == pytest.approx(1.0, abs=1e-12)
@@ -323,7 +323,7 @@ def test_select_constant_sequence():
 
 def test_select_lambda_includes_angle():
     seq = GeneratedSequence((1.0 + 0j,), 1.0, ((0.5,),), ((0,),))
-    sel = select_subsequence(seq, 64, math.pi / 16)
+    sel = select_subsequence(seq, 64, math.pi / 16, 0.05)
     assert sel.lam.coords[0] == pytest.approx(cmath.exp(0.5j), abs=1e-12)
     # the inverse maps collapse onto the bare direction, no phase
     assert sel.gamma.coords[0] == pytest.approx(1.0, abs=1e-12)
@@ -335,7 +335,7 @@ def test_select_alternating_permutations():
     seq = GeneratedSequence(
         (1.0 + 0j, 1.0 + 0j), 1.0, ((0.0, 0.0),), ((1, 0), (0, 1))
     )
-    sel = select_subsequence(seq, 64, math.pi / 16)
+    sel = select_subsequence(seq, 64, math.pi / 16, 0.05)
     assert sel.permutation == (0, 1)
     assert sel.indices[:4] == (2, 4, 6, 8)
     assert sel.contains(100) and not sel.contains(101)
@@ -381,7 +381,7 @@ def membership_cases(draw):
 @given(case=membership_cases(), data=st.data())
 def test_membership_queries_match_brute_force_without_evaluating(case, data):
     seq, angle_tol, starts = case
-    sel = select_subsequence(seq, 64, angle_tol)
+    sel = select_subsequence(seq, 64, angle_tol, 0.05)
     length = seq.length
     if length is None:
         # three periods and a bit: a query from the first period, or a
@@ -419,13 +419,13 @@ def test_select_no_boundary_convergence():
         PolydiskAutomorphism((MobiusFactor(0.5, 0.0),), (0,)) for _ in range(40)
     ]
     with pytest.raises(NoBoundaryConvergence):
-        select_subsequence(ExplicitSequence(autos), 40, math.pi / 16)
+        select_subsequence(ExplicitSequence(autos), 40, math.pi / 16, 0.05)
 
 
 @pytest.mark.parametrize("angle_tol", [0.0, -0.1, math.nan])
 def test_select_rejects_non_positive_angle_tol(angle_tol):
     with pytest.raises(ValidityError, match="angle_tol"):
-        select_subsequence(_constant_sequence(), 64, angle_tol)
+        select_subsequence(_constant_sequence(), 64, angle_tol, 0.05)
 
 
 def test_select_empty_when_nothing_repeats():
@@ -439,13 +439,13 @@ def test_select_empty_when_nothing_repeats():
         autos.append(PolydiskAutomorphism(factors, perm))
     del rng
     with pytest.raises(EmptySelection):
-        select_subsequence(ExplicitSequence(autos), 6, math.pi / 16)
+        select_subsequence(ExplicitSequence(autos), 6, math.pi / 16, 0.05)
 
 
 def test_selection_angle_deviation_within_tolerance():
     seq = GeneratedSequence((1.0 + 0j,), 1.0, ((0.1,), (0.11,), (0.9,)), ((0,),))
     tol = 0.05
-    sel = select_subsequence(seq, 60, tol)
+    sel = select_subsequence(seq, 60, tol, 0.05)
     for k in sel.indices:
         theta = seq.at(k).factors[0].theta
         assert abs(theta - sel.limit_angles[0]) <= tol

@@ -14,7 +14,7 @@ import pytest
 
 import innerorbit
 
-from innerorbit import EngineConfig, engine
+from innerorbit import EngineConfig, engine, good_inner_trend, radial_modulus_report
 from innerorbit.cli import (
     _RUN,
     _schema,
@@ -112,6 +112,41 @@ def test_engine_defaults_are_engine_config_fields(tmp_path):
                if f.default is not dataclasses.MISSING]
     assert [f.name for f in tunable][0] == "epsilon"
     assert list(cfg.engine.items()) == [(f.name, f.default) for f in tunable]
+
+
+def test_diagnostics_defaults_are_the_library_defaults(tmp_path):
+    cfg = load_config(_write(tmp_path, "d.ini", "[run]\nmode = diagnose-inner\n\n"
+                             "[targets]\nf1 = blaschke(0.5+0i, 0)[1]\n"))
+    assert cfg.diagnostics == {"radii": [0.9, 0.99, 0.999], "angles_per_dim": 256}
+    assert cfg.good_inner == {"radii": [0.9, 0.99, 0.999], "quad_points": 512,
+                              "clamp": 40.0, "tolerance": 0.02}
+    (f,) = cfg.functions
+    assert radial_modulus_report(f, **cfg.diagnostics) == radial_modulus_report(f)
+    assert good_inner_trend(f, **cfg.good_inner) == good_inner_trend(f)
+
+
+def test_k_max_past_binary64_range_exits_one(tmp_path, capsys):
+    # the stage-index search takes the logarithm of k_max + 1.0
+    text = N1_CONFIG.replace("k_max = 1000000000", "k_max = 1" + "0" * 400)
+    assert run_cli(["--config", str(_write(tmp_path, "big.ini", text))]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "ConfigError",
+                     "message": "[engine] k_max must lie within binary64 range, "
+                                "at most 1.7976931348623157e+308 in magnitude"}
+
+
+@pytest.mark.parametrize("k", [2**80, 10**400], ids=["2^80", "10^400"])
+def test_orbit_index_past_binary64_resolution_exits_two(tmp_path, k):
+    # past binary64 range as well as past its resolution, phi_k has no
+    # automorphism in binary64
+    text = (N1_CONFIG.replace("construct-universal", "verify-orbit")
+            + f"\n[verify]\nx = z[1]\nindices = 3,{k}\n")
+    out = tmp_path / "out"
+    assert run_cli(["--config", str(_write(tmp_path, "v.ini", text)), "--out", str(out),
+                    "--quiet"]) == 2
+    failure = json.loads((out / "report.json").read_text())["results"]["failure"]
+    assert failure == {"error": "ValidityError", "message": f"sequence index {k}: "
+                       "1 - rate/(k+1) rounds to 1 in binary64"}
 
 
 def test_engine_values_keep_their_field_type(tmp_path):
@@ -597,12 +632,17 @@ def test_shipped_and_benchmark_configs_load(tmp_path, monkeypatch):
         assert serialize_config(again) == canonical
 
 
-def test_every_config_key_is_documented():
+def _doc_blocks() -> dict:
+    """Heading of docs/formats.md -> its text up to the next heading of any
+    level."""
     docs = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text(
         encoding="utf-8"
     )
-    # heading -> text up to the next heading of any level
-    blocks = dict(b.partition("\n")[::2] for b in re.split(r"^#+ ", docs, flags=re.M))
+    return dict(b.partition("\n")[::2] for b in re.split(r"^#+ ", docs, flags=re.M))
+
+
+def test_every_config_key_is_documented():
+    blocks = _doc_blocks()
     for section, table in {"run": _RUN, **_schema(1)}.items():
         (body,) = [b for h, b in blocks.items() if h.startswith(f"`[{section}]`")]
         keys = table if section != "sequence" else [k for t in table.values() for k in t]
@@ -676,26 +716,39 @@ def _keys(node):
             yield from _keys(value)
 
 
-def test_every_report_field_is_documented(tmp_path):
-    docs = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text(
-        encoding="utf-8"
-    )
-    blocks = dict(b.partition("\n")[::2] for b in re.split(r"^#+ ", docs, flags=re.M))
+@pytest.fixture(scope="module")
+def mode_outputs(tmp_path_factory):
+    """The output directories of a run of each mode, with timings."""
+    root = tmp_path_factory.mktemp("modes")
+    runs = {
+        "diagnose": (GOOD_INNER_CONFIG, "--mode", "diagnose-inner"),
+        "good": (GOOD_INNER_CONFIG,),
+        "construct": (N1_CONFIG,),
+        "verify": (VERIFY_RANDOM_POINTS,),
+    }
+    for name, (text, *flags) in runs.items():
+        _report(root, name, text, *flags, "--timings")
+    return [root / name for name in runs]
+
+
+def test_every_report_field_is_documented(mode_outputs):
     documented = set(re.findall(r"\w+", " ".join(
-        re.findall(r"`([^`]*)`", blocks["Report (JSON)"]))))
-    reports = [
-        _report(tmp_path, "diagnose", GOOD_INNER_CONFIG, "--mode", "diagnose-inner",
-                "--timings"),
-        _report(tmp_path, "good", GOOD_INNER_CONFIG, "--timings"),
-        _report(tmp_path, "construct", N1_CONFIG, "--timings"),
-        _report(tmp_path, "verify", VERIFY_RANDOM_POINTS, "--timings"),
-    ]
+        re.findall(r"`([^`]*)`", _doc_blocks()["Report (JSON)"]))))
     undocumented = set()
-    for raw in reports:
-        report = json.loads(raw)
+    for out in mode_outputs:
+        report = json.loads((out / "report.json").read_bytes())
         assert report.pop("config")
         undocumented |= {key for key in _keys(report) if key not in documented}
     assert not undocumented
+
+
+def test_every_table_is_documented(mode_outputs):
+    # each table a mode writes, with its header row as documented
+    documented = dict(re.findall(r"^- `(\w+\.csv)`: `([\w,]+)`$",
+                                 _doc_blocks()["Tables (CSV)"], flags=re.M))
+    written = {table.name: table.read_text(encoding="utf-8").partition("\n")[0]
+               for out in mode_outputs for table in (out / "tables").glob("*.csv")}
+    assert written == documented
 
 
 # ---------------------------------------------------------------------------

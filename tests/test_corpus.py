@@ -14,7 +14,7 @@ def test_corpus_exit_codes(tmp_path, capsys):
     # exit 2; a change that fits them moves this tally on purpose
     assert corpus.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == (
-        "420 runs: 370 exit 0, 50 exit 2"
+        "423 runs: 373 exit 0, 50 exit 2"
     )
     assert (tmp_path / "n1_sparse_s9_verify" / "report.json").is_file()
     assert (tmp_path / "configs" / "universal_n1_verify" / "report.json").is_file()
@@ -22,3 +22,5 @@ def test_corpus_exit_codes(tmp_path, capsys):
     assert (tmp_path / "diagnose_n2_s4" / "tables" / "radial_modulus.csv").is_file()
     assert (tmp_path / "sweep_n2_s4" / "report.json").is_file()
     assert (tmp_path / "sweep2000_n2_permcycle_s4" / "report.json").is_file()
+    report = (tmp_path / "n3_two_s0_random" / "report.json").read_text(encoding="utf-8")
+    assert report.count('"random_point_error"') == 2

@@ -135,7 +135,7 @@ def test_project_rejects_entangled_target():
 
 def test_choose_stage_index_trivial_target():
     seq = constant_sequence()
-    sel = select_subsequence(seq, 64, math.pi / 16)
+    sel = select_subsequence(seq, 64, math.pi / 16, 0.05)
     axes = CompactProbe.create(0.3, 1).axes()
     chosen = choose_stage_index(
         sel, axes, [], Constant(1.0, 1), j=1, floor=0, delta=0.01, k_max=10**6

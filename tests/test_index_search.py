@@ -102,7 +102,7 @@ def selection_for(theta_cycle):
         direction=(1.0 + 0j,), rate=1.0, theta_cycle=theta_cycle,
         perm_cycle=((0,),),
     )
-    return select_subsequence(seq, 64, math.pi / 16)
+    return select_subsequence(seq, 64, math.pi / 16, 0.05)
 
 
 def power_curve(crossing, exponent, saturation=math.inf):
@@ -200,7 +200,7 @@ def sparse_selection(period):
         direction=(1.0 + 0j,), rate=1.0,
         theta_cycle=tuple((0.02 * i,) for i in range(period)), perm_cycle=((0,),),
     )
-    return select_subsequence(seq, 64, 0.01)
+    return select_subsequence(seq, 64, 0.01, 0.05)
 
 
 def smallest_admissible_member(value, period, floor, k_max):

@@ -71,21 +71,21 @@ def test_radial_rejects_an_empty_shell(angles):
 
 def test_integral_coordinate_exact():
     for r in (0.3, 0.9):
-        assert good_inner_integral_detail(Coordinate(1, 1), r, 64)[0] == pytest.approx(
+        assert good_inner_integral_detail(Coordinate(1, 1), r, 64, 40.0)[0] == pytest.approx(
             math.log(r), abs=1e-12
         )
 
 
 def test_integral_bidisk_product():
     f = Product((Coordinate(1, 2), Coordinate(2, 2)))
-    assert good_inner_integral_detail(f, 0.7, 64)[0] == pytest.approx(
+    assert good_inner_integral_detail(f, 0.7, 64, 40.0)[0] == pytest.approx(
         2 * math.log(0.7), abs=1e-12
     )
 
 
 def test_integral_blaschke_against_jensen():
     g = BlaschkeFactor(MobiusFactor(0.5, 0.0), 1, 1)
-    val = good_inner_integral_detail(g, 0.9, 512)[0]
+    val = good_inner_integral_detail(g, 0.9, 512, 40.0)[0]
     assert val == pytest.approx(math.log(0.9), abs=1e-6)
     assert val == pytest.approx(jensen_oracle([0.5], 0.5, 0.9), abs=1e-6)
 
@@ -118,7 +118,7 @@ def test_jensen_handles_zero_at_origin():
 
 
 def test_integral_negative_value_for_ball_members():
-    value, clamped = good_inner_integral_detail(Constant(0.5, 1), 0.9, 64)
+    value, clamped = good_inner_integral_detail(Constant(0.5, 1), 0.9, 64, 40.0)
     assert value == pytest.approx(math.log(0.5), abs=1e-12)
     assert clamped == 0
 

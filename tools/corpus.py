@@ -4,7 +4,7 @@
     python3 tools/corpus.py OUT_DIR
 
 Run from anywhere; the program and the benchmark's config generators are
-imported from this checkout. The corpus is 420 runs:
+imported from this checkout. The corpus is 423 runs:
 
 - the three ``configs/*.ini``, under ``OUT_DIR/configs/<name>/``;
 - the benchmark shapes ``n1_two``, ``n2_swap``, ``n1_three`` and
@@ -16,7 +16,10 @@ imported from this checkout. The corpus is 420 runs:
   ``n1_schur`` and ``n2_schur``, whose first target is not a constant, so
   that they exercise the Schur projector, at n = 2 per coordinate;
 - a ``verify-orbit`` at the recorded indices of each construction that
-  exits 0, under ``OUT_DIR/<label>_verify/``;
+  exits 0, under ``OUT_DIR/<label>_verify/``, and for seed 0 of
+  ``n1_two``, ``n2_swap`` and ``n3_two`` one more that also reports
+  ``random_point_error`` at 64 seeded random points, under
+  ``OUT_DIR/<label>_random/``;
 - for seeds 0-4, the runs of one ``diagnose`` and one ``orbit-sweep``
   benchmark op on the products of that seed's ``n1_two`` and ``n2_swap``:
   ``good-inner`` and ``diagnose-inner`` at n = 1 and n = 2, and the
@@ -100,6 +103,10 @@ MODE_SEEDS = range(5)
 #: the shapes whose products those seeds also sweep to LONG_SWEEP_K
 LONG_SWEEP_SHAPES = (wl.n1_two, wl.n2_swap, n2_permcycle)
 LONG_SWEEP_K = 2_000
+#: the constructions, one per dimension, whose recorded indices are also
+#: verified at RANDOM_POINTS seeded random points
+RANDOM_POINT_RUNS = ("n1_two_s0", "n2_swap_s0", "n3_two_s0")
+RANDOM_POINTS = 64
 
 
 def _run(config: Path, out: Path) -> int:
@@ -108,15 +115,19 @@ def _run(config: Path, out: Path) -> int:
 
 def _verify(out_root: Path, label: str, text: str, out: Path, tally: Counter):
     """verify-orbit at the recorded indices of the construction in ``out``,
-    when it fitted every target."""
+    when it fitted every target, and for RANDOM_POINT_RUNS once more with
+    RANDOM_POINTS random points."""
     results = json.loads((out / "report.json").read_text(encoding="utf-8"))["results"]
     if not results.get("x_expression"):
         return
-    indices = ",".join(str(k) for k in results["recorded_indices"])
-    run = wl.make_run(out_root, f"{label}_verify",
-                      wl.verify_config(text, results["x_expression"],
-                                       f"indices = {indices}"))
-    tally[_run(run.config, run.out)] += 1
+    indices = "indices = " + ",".join(str(k) for k in results["recorded_indices"])
+    lines = {f"{label}_verify": indices}
+    if label in RANDOM_POINT_RUNS:
+        lines[f"{label}_random"] = f"{indices}\nrandom_points = {RANDOM_POINTS}"
+    for name, verify in lines.items():
+        run = wl.make_run(out_root, name,
+                          wl.verify_config(text, results["x_expression"], verify))
+        tally[_run(run.config, run.out)] += 1
 
 
 def _product(out_root: Path, shape, seed: int) -> str:
