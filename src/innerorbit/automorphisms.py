@@ -185,25 +185,27 @@ class PolydiskAutomorphism:
         return out if axes is pts else out.to_array()
 
 
-def transform_batch(autos, axes: PointAxes) -> PointAxes:
-    """The images of ``axes`` under automorphisms that share one
-    permutation, stacked on a new leading axis: slice k of each coordinate
-    is that of ``autos[k].transform(axes)``, bit for bit.
-
-    Each factor's alpha and phase are read off the factor itself, laid
-    along the leading axis, and every point goes through the Moebius
-    arithmetic of ``transform``.
+def transform_batch(perm, alphas, phases, axes: PointAxes) -> PointAxes:
+    """The images of ``axes`` under K automorphisms that share the
+    permutation ``perm``, stacked on a new leading axis: row k of the
+    (K, n) arrays ``alphas`` and ``phases`` holds the factors' alpha and
+    e^{i theta} of automorphism k, and slice k of each coordinate is that of
+    its ``transform(axes)``, bit for bit, since every point goes through the
+    Moebius arithmetic of ``transform``.
     """
-    perm = autos[0].perm
-    if any(a.perm != perm for a in autos):
-        raise ValidityError("transform_batch needs one shared permutation")
+    perm = tuple(perm)
+    _check_perm(perm, len(axes.coords))
+    if alphas.shape != phases.shape or alphas.shape[1:] != (len(perm),):
+        raise DimensionMismatch(
+            f"alphas {alphas.shape} and phases {phases.shape} are not "
+            f"(K, {len(perm)}) arrays"
+        )
     coords = []
     for j, p in enumerate(perm):
         z = axes.coords[p][np.newaxis]
-        shape = (len(autos),) + (1,) * (z.ndim - 1)
-        alpha = np.array([a.factors[j].alpha for a in autos]).reshape(shape)
-        phase = np.array([a.factors[j].phase for a in autos]).reshape(shape)
-        coords.append(_moebius(alpha, phase, z))
+        shape = (len(alphas),) + (1,) * (z.ndim - 1)
+        coords.append(
+            _moebius(alphas[:, j].reshape(shape), phases[:, j].reshape(shape), z))
     return PointAxes(tuple(coords))
 
 
@@ -250,6 +252,40 @@ def auto_compose(
     return PolydiskAutomorphism(factors=factors, perm=perm)
 
 
+def _index_array(seq, ks) -> np.ndarray:
+    """``ks`` as an int64 array. ``seq.at`` refuses every index past int64
+    (past binary64 resolution at any rate, past an explicit sequence's
+    end), so for one of those it raises at the first index it refuses."""
+    try:
+        return np.asarray(ks, dtype=np.int64)
+    except OverflowError:
+        for k in ks:
+            seq.at(k)
+        raise
+
+
+def _batch_groups(seq, ks, bad, perms, perm_ids, alphas, phases) -> list:
+    """``seq.batch``'s groups of ``ks``, where ``seq.at`` raises its own
+    error at the first index that ``bad`` marks, if any."""
+    if bad.any():
+        seq.at(int(ks[np.argmax(bad)]))
+    groups = []
+    for u, perm in enumerate(perms):
+        positions = np.flatnonzero(perm_ids == u)
+        if len(positions):
+            groups.append((perm, positions, alphas[positions], phases[positions]))
+    return groups
+
+
+def _perm_table(perms) -> tuple:
+    """The distinct permutations of ``perms``, in order of first appearance,
+    and each entry's position among them."""
+    ids: dict = {}
+    for p in perms:
+        ids.setdefault(p, len(ids))
+    return list(ids), np.array([ids[p] for p in perms], dtype=np.intp)
+
+
 class ExplicitSequence:
     """A finite, explicitly listed automorphism sequence (1-based indexing)."""
 
@@ -262,6 +298,11 @@ class ExplicitSequence:
             if a.dimension != n:
                 raise DimensionMismatch("mixed dimensions in sequence")
         self.autos = autos
+        self._perms, self._perm_ids = _perm_table([a.perm for a in autos])
+        self._alphas = np.array([[f.alpha for f in a.factors] for a in autos],
+                                dtype=complex)
+        self._phases = np.array([[f.phase for f in a.factors] for a in autos],
+                                dtype=complex)
 
     @property
     def dimension(self) -> int:
@@ -275,6 +316,19 @@ class ExplicitSequence:
         if not 1 <= k <= len(self.autos):
             raise IndexError(f"sequence index {k} out of range 1..{len(self.autos)}")
         return self.autos[k - 1]
+
+    def batch(self, ks) -> list:
+        """The factors of ``at(k)`` for every k in ``ks``, read off the
+        stored automorphisms: one ``(perm, positions, alphas, phases)``
+        group per permutation, ``positions`` indexing ``ks`` and row r of
+        the (K, n) arrays holding the alpha and e^{i theta} of the factors
+        of ``at(ks[positions[r]])``. Raises ``at``'s error for the first
+        index of ``ks`` outside the sequence."""
+        ks = _index_array(self, ks)
+        bad = (ks < 1) | (ks > len(self.autos))
+        rows = np.where(bad, 0, ks - 1)
+        return _batch_groups(self, ks, bad, self._perms, self._perm_ids[rows],
+                             self._alphas[rows], self._phases[rows])
 
 
 class GeneratedSequence:
@@ -302,6 +356,11 @@ class GeneratedSequence:
         self.rate = float(rate)
         self.theta_cycle = theta_cycle
         self.perm_cycle = perm_cycle
+        # batch() reads e^{i theta} per cycle entry, as MobiusFactor computes
+        # it; MobiusFactor also refuses an angle that is not finite
+        self._cycle_phases = np.array(
+            [[MobiusFactor(0.0, t).phase for t in vec] for vec in theta_cycle])
+        self._perms, self._perm_ids = _perm_table(perm_cycle)
 
     @property
     def dimension(self) -> int:
@@ -334,6 +393,30 @@ class GeneratedSequence:
                       else str(exc))
             raise ValidityError(f"sequence index {k}: {reason}") from exc
         return PolydiskAutomorphism(factors=factors, perm=perm)
+
+    def batch(self, ks) -> list:
+        """The factors of ``at(k)`` for every k in ``ks``, as arrays and bit
+        for bit: one ``(perm, positions, alphas, phases)`` group per
+        permutation, ``positions`` indexing ``ks`` and row r of the (K, n)
+        arrays holding the alpha and e^{i theta} of the factors of
+        ``at(ks[positions[r]])``. Raises ``at``'s error for the first index
+        of ``ks`` that ``at`` refuses.
+
+        The moduli are at's binary64 arithmetic on a float64 array, the
+        alphas their complex products with the direction, and the phases
+        are read off the theta cycle.
+        """
+        ks = _index_array(self, ks)
+        entry = (ks - 1) % len(self.theta_cycle)
+        with np.errstate(divide="ignore", invalid="ignore"):  # k = -1 and below
+            modulus = 1.0 - self.rate / (ks + 1.0)
+            alphas = modulus[:, np.newaxis] * np.array(self.direction)
+            # |alpha| as at() takes it: np.abs of a complex array may round
+            # otherwise, np.hypot is the libm hypot of abs()
+            bad = (ks < 1) | ~(np.hypot(alphas.real, alphas.imag) < 1.0).all(axis=1)
+        perm_ids = self._perm_ids[(ks - 1) % len(self.perm_cycle)]
+        return _batch_groups(self, ks, bad, self._perms, perm_ids, alphas,
+                             self._cycle_phases[entry])
 
 
 def _angle_cell(phi: PolydiskAutomorphism, angle_tol: float) -> tuple:

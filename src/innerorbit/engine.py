@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -611,10 +612,18 @@ def verify_orbit(
     typically), otherwise all of 1..horizon; returns per target the first
     index, in scan order, where the probe sup is smallest, and that sup.
 
-    Indices are evaluated in chunks, each permutation's share of a chunk in
-    one tree evaluation on a leading index axis (``transform_batch``); every
-    point goes through the floating-point operations of evaluating one
-    index at a time, so the values are those bit for bit.
+    Indices are checked before any work: below 1, past an explicit
+    sequence's end, or past the k where 1 - rate/(k+1) rounds to 1
+    (``seq.batch`` raises ``at``'s own ``ValidityError``). Each bound is
+    monotone in k, so the least and the greatest index stand for all of
+    them.
+
+    Indices are evaluated in chunks, whose factors ``seq.batch`` gives as
+    arrays, bit for bit those of ``seq.at``; each permutation's share of a
+    chunk is one tree evaluation on a leading index axis
+    (``transform_batch``), and every point goes through the floating-point
+    operations of evaluating one index at a time, so the values are those
+    bit for bit. No automorphism is built per index.
 
     The sweep is pruned, and exactly so. A point's value does not depend on
     the array it is evaluated in, so the sup of |x o phi_k - f_i| over a few
@@ -622,14 +631,21 @@ def verify_orbit(
     coordinate) is a lower bound L_i(k) on the grid sup, bit for bit. Per
     chunk, each target's index of least bound is evaluated on the whole
     grid, where it can lower that target's best value so far, U_i; then
-    only the indices with L_i(k) <= U_i for some target are, and those are
-    scanned in order with strict ``<``. Any other index has a sup above a
-    value already reached, so the rows are those of the unpruned sweep. The
-    bound is also tight: x o phi_k - f_i is holomorphic, so by the maximum
-    principle its sup over the probe sits on the distinguished boundary of
-    radius r (Rudin, *Function Theory in Polydiscs*, 1969), which the ring
-    points sample. Each index is built by ``seq.at`` once and evaluated on
-    the whole grid at most once, and memory holds one chunk at a time.
+    only the indices with L_i(k) <= U_i for some target are. Any other
+    index has a sup above a value already reached, so the rows are those of
+    the unpruned sweep. The bound is also tight: x o phi_k - f_i is
+    holomorphic, so by the maximum principle its sup over the probe sits on
+    the distinguished boundary of radius r (Rudin, *Function Theory in
+    Polydiscs*, 1969), which the ring points sample. Each index is evaluated
+    on the whole grid at most once, and memory holds one chunk at a time.
+
+    The last chunk runs first, then the others in scan order. A row moves
+    to an index whose sup is smaller, or equal and earlier in scan order,
+    so the rows do not depend on the order, which changes only how much is
+    pruned. On a sweep toward a stage index, where the sup falls at every
+    index, the last chunk sets U_i near its final value at once. On a sweep
+    past the best index, where the sup rises after it, the scan order
+    reaches that index before the indices after it.
 
     A ``PoleHit`` (a Moebius denominator below ``POLE_TOL``) is raised only
     at points that are evaluated: the ring points of every index, and every
@@ -643,70 +659,88 @@ def verify_orbit(
         top = horizon if length is None else min(horizon, length)
         # sliced chunk by chunk, never listed: its ends bound it
         indices = range(1, top + 1)
-        checked = (indices[0], indices[-1]) if indices else ()
+        ends = (indices[0], indices[-1]) if indices else ()
     else:
-        indices = checked = [int(k) for k in indices]
+        indices = [int(k) for k in indices]
+        ends = (min(indices), max(indices)) if indices else ()
     if not indices:
         raise ValidityError("no orbit indices to check")
-    for k in checked:
-        if k < 1:
-            raise ValidityError(f"orbit indices start at 1, got {k}")
-        if length is not None and k > length:
-            raise ValidityError(f"orbit index {k} is past the sequence length {length}")
+    if ends[0] < 1:
+        raise ValidityError(f"orbit indices start at 1, got {ends[0]}")
+    if length is not None and ends[1] > length:
+        raise ValidityError(
+            f"orbit index {ends[1]} is past the sequence length {length}")
+    seq.batch(ends)
     grid, ring = probe.axes(), probe.outer_ring(_RING_ANGLES)
     grid_targets = [t._eval(grid) for t in targets]
     ring_targets = [t._eval(ring) for t in targets]
-    best = [{"target": i + 1, "best_index": None, "value": math.inf}
-            for i in range(len(targets))]
+    # per target: the least sup so far, its place in the scan, its index
+    reached = [(math.inf, math.inf, None)] * len(targets)
     # a chunk's ring points and a batch's grid points stay within _BATCH_POINTS
     size = max(1, _BATCH_POINTS // _RING_ANGLES**probe.dimension)
     batch = max(1, _BATCH_POINTS // grid.shape[0])
-    for lo in range(0, len(indices), size):
+    starts = range(0, len(indices), size)
+    # the last chunk first, then the others in scan order
+    for lo in itertools.chain(starts[-1:], starts[:-1]):
         chunk = indices[lo : lo + size]
-        # a helper, so a chunk's automorphisms are freed before the next's
-        _sweep_chunk(x, chunk, [seq.at(k) for k in chunk], (grid, grid_targets),
-                     (ring, ring_targets), batch, best)
-    return best
+        _sweep_chunk(x, chunk, lo, seq.batch(chunk), (grid, grid_targets),
+                     (ring, ring_targets), batch, reached)
+    return [{"target": i + 1, "best_index": k, "value": value}
+            for i, (value, _, k) in enumerate(reached)]
 
 
-def _sweep_chunk(x, chunk, autos, grid, ring, batch, best) -> None:
-    """Fold the orbit indices ``chunk``, built as ``autos``, into the rows
-    ``best``, pruned as ``verify_orbit`` describes; ``grid`` and ``ring`` are
-    (points, target values there), and ``batch`` indices at most go into one
-    evaluation on the grid."""
-    bounds = _orbit_errors(x, autos, *ring)
+def _sweep_chunk(x, chunk, start, groups, grid, ring, batch, reached) -> None:
+    """Fold the orbit indices ``chunk``, from place ``start`` of the scan on,
+    whose factors are ``groups`` in the form of ``seq.batch``, into
+    ``reached``, pruned as ``verify_orbit`` describes; ``grid`` and ``ring``
+    are (points, target values there), and ``batch`` indices at most go
+    into one evaluation on the grid."""
+    bounds = _orbit_errors(x, groups, *ring)
     values = {}  # position in the chunk -> grid sup per target
 
     def evaluate(positions):
         for lo in range(0, len(positions), batch):
             part = positions[lo : lo + batch]
-            errors = _orbit_errors(x, [autos[p] for p in part], *grid)
+            place = np.full(len(chunk), -1)
+            place[part] = np.arange(len(part))
+            errors = _orbit_errors(x, _take(groups, place), *grid)
             values.update(zip(part, errors.T.tolist()))
 
-    # each target's least bound, where it can lower the target's best value
-    upper = np.array([row["value"] for row in best])
-    least = sorted({int(np.argmin(b)) for b, u in zip(bounds, upper) if b.min() < u})
+    # each target's least bound, where it can lower or tie the target's
+    # best value
+    upper = np.array([value for value, _, _ in reached])
+    least = sorted({int(np.argmin(b)) for b, u in zip(bounds, upper) if b.min() <= u})
     evaluate(least)
     for pos in least:
         upper = np.fmin(upper, values[pos])
     rest = np.flatnonzero((bounds <= upper[:, np.newaxis]).any(axis=0)).tolist()
     evaluate([p for p in rest if p not in values])
-    for pos in sorted(values):
-        for i, err in enumerate(values[pos]):
-            if err < best[i]["value"]:
-                best[i] = {"target": i + 1, "best_index": chunk[pos], "value": err}
+    for pos, errors in values.items():
+        for i, err in enumerate(errors):
+            if (err, start + pos) < reached[i][:2]:
+                reached[i] = (err, start + pos, chunk[pos])
 
 
-def _orbit_errors(x, autos, axes, target_grids) -> np.ndarray:
-    """errors[i, pos] is the sup over ``axes`` of |x o autos[pos] - target i|,
-    ``target_grids[i]`` holding the target's values there; each
-    permutation's share of ``autos`` is one tree evaluation."""
-    groups: dict = {}
-    for pos, phi in enumerate(autos):
-        groups.setdefault(phi.perm, []).append(pos)
-    errors = np.empty((len(target_grids), len(autos)))
-    for positions in groups.values():
-        xv = x._eval(transform_batch([autos[p] for p in positions], axes))
+def _take(groups, place) -> list:
+    """``groups`` in the form of ``seq.batch``, cut to the positions p with
+    place[p] >= 0, each moved to position place[p]."""
+    taken = []
+    for perm, positions, alphas, phases in groups:
+        moved = place[positions]
+        keep = moved >= 0
+        if keep.any():
+            taken.append((perm, moved[keep], alphas[keep], phases[keep]))
+    return taken
+
+
+def _orbit_errors(x, groups, axes, target_grids) -> np.ndarray:
+    """errors[i, pos] is the sup over ``axes`` of |x o phi - target i|, phi
+    the automorphism at position ``pos`` of ``groups`` (the form of
+    ``seq.batch``, positions 0..K-1), ``target_grids[i]`` holding the
+    target's values there; each group is one tree evaluation."""
+    errors = np.empty((len(target_grids), sum(len(g[1]) for g in groups)))
+    for perm, positions, alphas, phases in groups:
+        xv = x._eval(transform_batch(perm, alphas, phases, axes))
         for i, tgrid in enumerate(target_grids):
             diff = np.abs(xv - tgrid)
             errors[i, positions] = np.max(diff, axis=tuple(range(1, diff.ndim)))

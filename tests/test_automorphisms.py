@@ -312,6 +312,108 @@ def test_generated_sequence_matches_formula():
     assert phi.factors[0].alpha == pytest.approx(1 - 1 / 10, abs=1e-15)
 
 
+def _batch_rows(seq, ks):
+    """(perm, alphas, phases) per entry of ``ks``, from ``seq.batch(ks)``."""
+    rows = [None] * len(ks)
+    for perm, positions, alphas, phases in seq.batch(ks):
+        assert alphas.shape == phases.shape == (len(positions), seq.dimension)
+        for pos, a, p in zip(positions, alphas, phases):
+            assert rows[pos] is None
+            rows[pos] = (perm, a, p)
+    return rows
+
+
+def _assert_batch_is_at(seq, ks):
+    """``seq.batch(ks)`` holds the factors of ``seq.at(k)`` bit for bit, or
+    raises ``at``'s error for the first k that ``at`` refuses."""
+    for k in ks:
+        try:
+            seq.at(k)
+        except (IndexError, ValidityError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                seq.batch(ks)
+            assert str(raised.value) == str(exc)
+            return False
+    for k, (perm, alphas, phases) in zip(ks, _batch_rows(seq, ks)):
+        phi = seq.at(k)
+        assert perm == phi.perm
+        expected = (np.array([f.alpha for f in phi.factors]),
+                    np.array([f.phase for f in phi.factors]))
+        assert np.array_equal(alphas, expected[0]) and np.array_equal(phases, expected[1])
+        assert alphas.tobytes() == expected[0].tobytes()
+        assert phases.tobytes() == expected[1].tobytes()
+    return True
+
+
+#: unimodular directions with signed zeros, besides random ones
+AXES = (1 + 0j, -1 + 0j, 1j, -1j, complex(-0.0, 1.0), complex(0.0, -1.0),
+        complex(-1.0, -0.0))
+
+
+@st.composite
+def batch_cases(draw):
+    """(generated sequence, indices): random direction and rate down to
+    1e-6, theta and perm cycles of length 1 to 3, unsorted and repeated
+    indices, cycle boundaries, indices near 2^53 and now and then one below
+    1 or past int64."""
+    n = draw(st.integers(1, 3))
+    direction = tuple(
+        draw(st.one_of(st.sampled_from(AXES),
+                       st.floats(-math.pi, math.pi).map(lambda t: cmath.exp(1j * t))))
+        for _ in range(n))
+    angle = st.floats(-10.0, 10.0)
+    thetas = draw(st.lists(st.lists(angle, min_size=n, max_size=n),
+                           min_size=1, max_size=3))
+    perms = draw(st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=3))
+    seq = GeneratedSequence(direction, draw(st.floats(1e-6, 1.0)), thetas, perms)
+    boundary = st.builds(lambda q, r: q * seq.period + r,
+                         st.integers(0, 10**5), st.integers(1, seq.period))
+    ks = draw(st.lists(st.one_of(st.integers(1, 10**6), boundary), min_size=1, max_size=30))
+    if draw(st.integers(0, 2)) == 1:
+        ks += draw(st.lists(st.integers(2**53 - 10**4, 2**53 + 10**4), max_size=3))
+    if draw(st.integers(0, 9)) == 7:
+        ks.append(draw(st.sampled_from((0, -1, -7, 2**63, 2**64, 10**20, 10**400))))
+    return seq, draw(st.permutations(ks))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=batch_cases())
+def test_batch_equals_at_bit_for_bit(case):
+    _assert_batch_is_at(*case)
+
+
+def test_batch_equals_at_on_explicit_sequences():
+    rng = np.random.default_rng(33)
+    for n in (1, 2, 3):
+        autos = [random_automorphism(rng, n) for _ in range(7)]
+        seq = ExplicitSequence(autos)
+        ks = [int(k) for k in rng.integers(1, 8, size=40)]
+        assert _assert_batch_is_at(seq, ks)
+        for bad in (0, -1, 8, 2**64):
+            assert not _assert_batch_is_at(seq, ks[:5] + [bad] + ks[5:] + [9])
+
+
+def test_batch_names_the_first_index_at_refuses():
+    seq = _constant_sequence()
+    # rate 1: at k = 2^53, 1 - 1/(k+1) is 1 - 2^-53, the largest binary64
+    # below 1; at 2^55 it rounds to 1
+    seq.batch([2**53])
+    with pytest.raises(ValidityError, match=r"^sequence index 36028797018963968: 1 - "):
+        seq.batch([5, 2**55, 3, 2**64, 10**400])
+    with pytest.raises(ValidityError, match=r"^sequence index 1267650600228229401496703205376: "):
+        seq.batch([5, 2**100, 10**400])
+    with pytest.raises(IndexError, match="start at 1"):
+        seq.batch([5, 0, 2**64])
+    assert seq.batch([]) == []
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_generated_sequence_rejects_an_angle_that_is_not_finite(theta):
+    # refused when built, so that no index of the cycle fails later
+    with pytest.raises(ValidityError, match="is not finite"):
+        GeneratedSequence((1 + 0j,), 1.0, ((0.0,), (theta,)), ((0,),))
+
+
 def test_select_constant_sequence():
     seq = _constant_sequence()
     sel = select_subsequence(seq, 64, math.pi / 16, 0.05)

@@ -149,6 +149,20 @@ def test_orbit_index_past_binary64_resolution_exits_two(tmp_path, k):
                        "1 - rate/(k+1) rounds to 1 in binary64"}
 
 
+@pytest.mark.parametrize("k", [2**64, 10**20, 10**400], ids=["2^64", "10^20", "10^400"])
+def test_sweep_bound_past_binary64_resolution_exits_two(tmp_path, k):
+    # the sweep 1..k is checked at its ends before any work, so a range
+    # too long to have a length ends like a listed index past resolution
+    text = (N1_CONFIG.replace("construct-universal", "verify-orbit")
+            + f"\n[verify]\nx = z[1]\nk = {k}\n")
+    out = tmp_path / "out"
+    assert run_cli(["--config", str(_write(tmp_path, "v.ini", text)), "--out", str(out),
+                    "--quiet"]) == 2
+    failure = json.loads((out / "report.json").read_text())["results"]["failure"]
+    assert failure == {"error": "ValidityError", "message": f"sequence index {k}: "
+                       "1 - rate/(k+1) rounds to 1 in binary64"}
+
+
 def test_engine_values_keep_their_field_type(tmp_path):
     text = N1_CONFIG.replace(
         "k_max = 1000000000", "k_max = 1000000000\nangle_tol = 0.25\ndelta = 0.02"

@@ -646,31 +646,59 @@ def test_verify_orbit_memory_does_not_grow_with_the_horizon():
         verify_orbit(x, constant_sequence(), targets, probe, 0)
 
 
-def full_grid_indices(monkeypatch, probe):
-    """The indices that ``verify_orbit`` evaluates on the whole grid of
-    ``probe``, counted from ``engine._orbit_errors``."""
-    evaluated = []
-    errors = engine._orbit_errors
+def factor_keys(groups):
+    """One key per automorphism of ``groups``, in the form of ``seq.batch``:
+    its permutation and the bytes of its alphas and phases."""
+    return [(perm, a.tobytes(), p.tobytes())
+            for perm, _, alphas, phases in groups for a, p in zip(alphas, phases)]
 
-    def counted(x, autos, axes, target_grids):
+
+def at_key(phi):
+    """``factor_keys``' key of the automorphism ``phi``."""
+    return (phi.perm, np.array([f.alpha for f in phi.factors]).tobytes(),
+            np.array([f.phase for f in phi.factors]).tobytes())
+
+
+def traced_sweep(monkeypatch, probe):
+    """The chunks ``verify_orbit`` sweeps, as (indices, groups of
+    ``seq.batch``) in the order swept, and per chunk a Counter of the
+    ``factor_keys`` it evaluates on the whole grid of ``probe``."""
+    chunks, evaluated = [], []
+    sweep_chunk, errors = engine._sweep_chunk, engine._orbit_errors
+
+    def traced_chunk(x, chunk, start, groups, *rest):
+        chunks.append((list(chunk), groups))
+        evaluated.append(Counter())
+        return sweep_chunk(x, chunk, start, groups, *rest)
+
+    def counted(x, groups, axes, target_grids):
         if axes is probe.axes():
-            evaluated.extend(autos)
-        return errors(x, autos, axes, target_grids)
+            evaluated[-1].update(factor_keys(groups))
+        return errors(x, groups, axes, target_grids)
 
+    monkeypatch.setattr(engine, "_sweep_chunk", traced_chunk)
     monkeypatch.setattr(engine, "_orbit_errors", counted)
-    return evaluated
+    return chunks, evaluated
 
 
 def test_sweep_builds_each_index_once_and_evaluates_it_at_most_once(monkeypatch):
     for x, seq, targets, probe, indices in sweep_cases():
-        built = []  # (k, seq.at(k)) per call
-        monkeypatch.setattr(
-            seq, "at", lambda k, at=seq.at: built.append((k, at(k))) or built[-1][1])
-        evaluated = full_grid_indices(monkeypatch, probe)
+        at, called = seq.at, []
+        monkeypatch.setattr(seq, "at", lambda k: called.append(k) or at(k))
+        chunks, evaluated = traced_sweep(monkeypatch, probe)
         verify_orbit(x, seq, targets, probe, 0, list(indices))
-        assert [k for k, _ in built] == list(indices)
-        # an explicit sequence gives a duplicated index the same object
-        assert Counter(map(id, evaluated)) <= Counter(id(phi) for _, phi in built)
+        assert called == []
+        # the chunks, the last one swept first, hold every index once
+        assert [k for chunk, _ in chunks[1:] + chunks[:1] for k in chunk] == list(indices)
+        keys = {k: at_key(at(k)) for k in indices}
+        assert len(set(keys.values())) == len(keys)
+        for (chunk, groups), on_grid in zip(chunks, evaluated):
+            positions = np.concatenate([g[1] for g in groups]).tolist()
+            assert sorted(positions) == list(range(len(chunk)))
+            batched = dict(zip(positions, factor_keys(groups)))
+            assert [batched[pos] for pos in range(len(chunk))] == [keys[k] for k in chunk]
+            # a repeated index may be evaluated once per place it holds
+            assert on_grid <= Counter(batched.values())
 
 
 def test_pruned_sweep_when_the_sup_lies_off_the_outer_ring():
@@ -719,11 +747,65 @@ def test_monotone_sweep_evaluates_few_indices_on_the_grid(monkeypatch):
     # the fitted product's sup falls at every index up to 250, so only
     # each target's least bound is evaluated on the whole grid
     x, seq, targets, probe = fitted_product()
-    evaluated = full_grid_indices(monkeypatch, probe)
+    _, evaluated = traced_sweep(monkeypatch, probe)
     rows = verify_orbit(x, seq, targets, probe, 250)
     assert rows == reference_sweep(x, seq, targets, probe, range(1, 251))
     assert [row["best_index"] for row in rows] == [250, 250]
-    assert 1 <= len(evaluated) <= 2
+    assert 1 <= sum(evaluated[0].values()) <= 2
+
+
+def rotation_sweep(monkeypatch, angles):
+    """Sweep, traced, the rotations z -> e^{i t} z by ``angles`` against
+    x = B, a Blaschke factor whose zero lies between two outer-ring angles
+    of the default n = 1 probe; the target is x itself, so the sup of
+    index k grows with |t_k|. Returns the sequence, the ring bounds, the
+    rows, which equal ``reference_sweep``'s, and ``traced_sweep``'s chunks
+    and grid counts."""
+    probe = CompactProbe.create(0.3, 1)
+    x = BlaschkeFactor(MobiusFactor(0.9 * cmath.exp(1j * math.pi / 8), 0.0))
+    seq = ExplicitSequence(
+        PolydiskAutomorphism((MobiusFactor(0.0, math.pi + t),), (0,)) for t in angles)
+    ring = probe.outer_ring(engine._RING_ANGLES)
+    bounds = [float(np.max(np.abs(x._eval(seq.at(k).transform(ring)) - x._eval(ring))))
+              for k in range(1, len(angles) + 1)]
+    chunks, evaluated = traced_sweep(monkeypatch, probe)
+    rows = verify_orbit(x, seq, (x,), probe, len(angles))
+    assert rows == reference_sweep(x, seq, (x,), probe, range(1, len(angles) + 1))
+    return seq, bounds, rows, chunks, evaluated
+
+
+def test_falling_sup_evaluates_only_the_tail_window_on_the_grid(monkeypatch):
+    # rotations closing in on the target, as on the way to a stage index:
+    # x o phi_k - x = B(e^{i t_k} z) - B(z), its sup falling at every index,
+    # about 3 % per chunk of 1 536 indices, while the ring bound sits about
+    # 5.5 % below the grid sup (B's zero lies between two ring angles). A
+    # chunk's own least index rules out almost none of its indices, but the
+    # last index's sup rules out all but a tail of the sweep, and the last
+    # chunk is swept first
+    seq, bounds, rows, chunks, evaluated = rotation_sweep(
+        monkeypatch, [0.1 * 0.99998**k for k in range(1, 6_001)])
+    count = len(bounds)
+    assert all(b > c for b, c in zip(bounds, bounds[1:]))
+    assert rows[0]["best_index"] == count
+    window = [k for k, b in enumerate(bounds, start=1) if b <= rows[0]["value"]]
+    assert window == list(range(window[0], count + 1))
+    # the sweep's first two chunks of four hold no index of the window
+    assert len(chunks) == 4 and window[0] > max(chunks[2][0]) > max(chunks[1][0])
+    assert sum(evaluated, Counter()) == Counter(at_key(seq.at(k)) for k in window)
+
+
+def test_rising_sup_evaluates_few_indices_on_the_grid(monkeypatch):
+    # the sweep passes its best index, 800, and the sup rises after it, as
+    # on a sweep past a stage index; the last chunk, swept first, sets a
+    # poor U, but the scan reaches index 800 before the indices after it,
+    # so the other chunks are pruned as in a sweep in scan order
+    _, _, rows, chunks, evaluated = rotation_sweep(
+        monkeypatch, [1e-3 * (1.0 + ((k - 800) / 1000) ** 2) for k in range(1, 6_001)])
+    assert rows[0]["best_index"] == 800
+    assert [len(chunk) for chunk, _ in chunks] == [1_392, 1_536, 1_536, 1_536]
+    # the last chunk and the chunk of index 800 only
+    assert sum(evaluated[2:], Counter()) == Counter()
+    assert 0 < sum(sum(c.values()) for c in evaluated) < 1_536
 
 
 def test_pruned_index_with_a_pole_on_the_grid_raises_nothing():

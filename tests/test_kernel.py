@@ -32,9 +32,17 @@ from innerorbit import (
     transform_batch,
 )
 from innerorbit import inner_tools
-from innerorbit.errors import PoleHit, ValidityError
+from innerorbit.errors import DimensionMismatch, PoleHit, ValidityError
 
 from util import random_interior_points, random_mobius
+
+
+def factor_arrays(autos):
+    """``transform_batch``'s permutation, alphas and phases for automorphisms
+    that share one permutation, read off their factors."""
+    return (autos[0].perm,
+            np.array([[f.alpha for f in phi.factors] for phi in autos]),
+            np.array([[f.phase for f in phi.factors] for phi in autos]))
 
 
 def reference_transform(phi, pts):
@@ -271,7 +279,7 @@ def test_batched_orbit_images_equal_one_index_at_a_time(probe):
     axes = probe.axes()
     layout = axes.layout
     autos = shared_perm_autos(rng, probe.dimension, 3)
-    batch = transform_batch(autos, axes)
+    batch = transform_batch(*factor_arrays(autos), axes)
     assert batch.layout == (len(autos),) + layout
     for k, phi in enumerate(autos):
         single = phi.transform(axes)
@@ -287,10 +295,15 @@ def test_batched_orbit_images_equal_one_index_at_a_time(probe):
 
 def test_transform_batch_needs_one_permutation():
     rng = np.random.default_rng(6100)
-    swap = PolydiskAutomorphism(tuple(random_mobius(rng) for _ in range(2)), (1, 0))
-    keep = PolydiskAutomorphism(tuple(random_mobius(rng) for _ in range(2)), (0, 1))
-    with pytest.raises(ValidityError, match="permutation"):
-        transform_batch([swap, keep], CompactProbe.create(0.3, 2).axes())
+    axes = CompactProbe.create(0.3, 2).axes()
+    _, alphas, phases = factor_arrays([shuffled_automorphism(rng, 2)])
+    for perm in ((0, 0), (1,), (0, 1, 2)):
+        with pytest.raises(ValidityError, match="permutation"):
+            transform_batch(perm, alphas, phases, axes)
+    with pytest.raises(DimensionMismatch, match="alphas"):
+        transform_batch((1, 0), alphas[:, :1], phases[:, :1], axes)
+    with pytest.raises(DimensionMismatch, match="alphas"):
+        transform_batch((1, 0), alphas, phases[:0], axes)
 
 
 def test_pole_names_the_factor_that_hit_it():
@@ -300,7 +313,7 @@ def test_pole_names_the_factor_that_hit_it():
         MobiusFactor(0.5, 0.3)(z.coords[0])
     autos = [PolydiskAutomorphism((MobiusFactor(a, 0.3),), (0,)) for a in (0.25, 0.5)]
     with pytest.raises(PoleHit, match=r"alpha=\(0\.5\+0j\)"):
-        transform_batch(autos, z)
+        transform_batch(*factor_arrays(autos), z)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +388,7 @@ def stack_layouts(rng):
         layouts.append((f"tensor-n{n}", CompactProbe.create(0.3, n, points_per_dim=q).axes()))
     for n in (1, 2, 3):
         axes = CompactProbe.create(0.3, n, points_per_dim=3).axes()
-        batch = transform_batch(shared_perm_autos(rng, n, 4), axes)
+        batch = transform_batch(*factor_arrays(shared_perm_autos(rng, n, 4)), axes)
         layouts.append((f"batch-n{n}", batch))
     return layouts
 
