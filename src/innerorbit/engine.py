@@ -30,6 +30,7 @@ import contextlib
 import functools
 import itertools
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -273,6 +274,17 @@ def _depth(points: PointAxes) -> float:
     return float(np.min(1.0 - np.abs(points.coords[0])))
 
 
+def _automorphism_key(phi) -> tuple:
+    """``phi``'s permutation and the bits of its factors' alphas and
+    thetas: automorphisms with equal keys are the same map, and 0.0 and
+    -0.0 give different keys."""
+    return phi.perm, struct.pack(
+        f"{3 * len(phi.factors)}d",
+        *itertools.chain.from_iterable(
+            (f.alpha.real, f.alpha.imag, f.theta) for f in phi.factors),
+    )
+
+
 def choose_stage_index(
     selection: SubsequenceSelection,
     axes: PointAxes,
@@ -318,18 +330,30 @@ def choose_stage_index(
     member is not.
     ``SequenceExhausted`` is raised only where the doubling steps and the
     last member up to ``k_max`` are all inadmissible; a doubling step that
-    ``seq.at`` cannot represent raises its ``ValidityError``. Each probe is
-    one ``stage_condition_values`` call, and no index is probed twice.
+    ``seq.at`` cannot represent raises its ``ValidityError``.
+
+    The values at k, ``retro``'s among them, are computed from phi_k's image
+    of the grid and its inverse alone, so indices whose ``seq.at`` is the
+    same map, bit for bit (``_automorphism_key``), share them; near the
+    boundary, where 1 - rate/(k + 1) rounds to one value over long runs of
+    indices, many do. Each probe first builds phi_k, and only one at an
+    automorphism not met before in this search calls
+    ``stage_condition_values``: no automorphism is evaluated twice.
     """
     seq = selection.sequence
     tol = delta * math.ldexp(1.0, -j)
     best = {"index": None, "condition_a": math.inf, "condition_b": math.inf}
     probed = {}
     extra = {}  # index -> the values of ``retro`` there
+    evaluated = {}  # automorphism key -> stage_condition_values there
 
     def admissible(k: int) -> bool:
         if k not in probed:
-            values, b = stage_condition_values(seq, axes, factors, projected, k, retro)
+            key = _automorphism_key(seq.at(k))
+            if key not in evaluated:
+                evaluated[key] = stage_condition_values(
+                    seq, axes, factors, projected, k, retro)
+            values, b = evaluated[key]
             conds, extra[k] = values[: len(factors)], values[len(factors) :]
             probed[k] = (k, conds, b)
             a = max((0.0, *conds))

@@ -1,8 +1,10 @@
 """The stage-index search against the doubling-then-bisection search it
 replaced, which stays here as the reference, on synthetic condition values
-and on the shipped n = 1 config."""
+and on the shipped n = 1 config. The synthetic values, as the engine's, are
+functions of the automorphism at the probed index."""
 
 import bisect
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -11,7 +13,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from innerorbit import GeneratedSequence, cli, engine, select_subsequence
+from innerorbit import (
+    CompactProbe,
+    Constant,
+    ExplicitSequence,
+    GeneratedSequence,
+    MobiusFactor,
+    PolydiskAutomorphism,
+    cli,
+    engine,
+    select_subsequence,
+)
 from innerorbit.errors import SequenceExhausted, ValidityError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -121,18 +133,54 @@ def step_curve(crossing, before, after):
     return value
 
 
+def block_end(seq, k):
+    """The last index of k's block: the run of indices at which
+    1 - rate/(k + 1), and so alpha, rounds to the value it takes at k. At
+    rate 1 a block is one index long up to about 1e8, and about k^2 * 2^-53
+    long past that. Depends on k only through ``seq.at(k)``."""
+    alpha = seq.at(k).factors[0].alpha
+
+    def same(i):
+        try:
+            return seq.at(i).factors[0].alpha == alpha
+        except ValidityError:  # past the last representable index
+            return False
+
+    step = 1
+    while same(k + step):
+        step *= 2
+    inside, past = k + step // 2, k + step
+    while past - inside > 1:
+        mid = (inside + past) // 2
+        inside, past = (mid, past) if same(mid) else (inside, mid)
+    return inside
+
+
+def on_automorphisms(seq, value):
+    """The curve ``value`` as the engine's condition values are, a function
+    of ``seq.at(k)``: at k it is ``value`` at the last index of k's block.
+    Indices sharing an automorphism share a block, so they get one value;
+    and a crossing inside a block makes the whole block admissible, so the
+    first admissible index stays at or below the crossing."""
+    def curve(k):
+        return value(block_end(seq, k))
+    return curve
+
+
 def run_search(monkeypatch, search, selection, value, floor, k_max, carrier="b"):
-    """Run ``search`` on the values ``value(k)`` (the larger condition; the
-    other is half of it). Returns its outcome, a result tuple or the
-    SequenceExhausted message, and its probed indices in order. Each probe
-    first builds the automorphism at k, as ``stage_condition_values`` does,
-    so an index the sequence cannot represent is refused there."""
+    """Run ``search`` on the values ``on_automorphisms(seq, value)`` (the
+    larger condition; the other is half of it). Returns its outcome, a
+    result tuple or the SequenceExhausted message, and its probed indices
+    in order. Each probe first builds the automorphism at k, as
+    ``stage_condition_values`` does, so an index the sequence cannot
+    represent is refused there."""
     probes = []
+    curve = on_automorphisms(selection.sequence, value)
 
     def synthetic(seq, axes, factors, projected, k, retro=None):
         seq.at(k)
         probes.append(k)
-        g = value(k)
+        g = curve(k)
         return ((g,), 0.5 * g) if carrier == "a" else ((0.5 * g,), g)
 
     monkeypatch.setattr(engine, "stage_condition_values", synthetic)
@@ -203,13 +251,14 @@ def sparse_selection(period):
     return select_subsequence(seq, 64, 0.01, 0.05)
 
 
-def smallest_admissible_member(value, period, floor, k_max):
-    """The first member above ``floor`` whose value meets the tolerance,
-    None if no member up to ``k_max`` does; admissibility is monotone
-    along these curves, so bisection over the list of members finds it."""
+def smallest_admissible_member(curve, period, floor, k_max):
+    """The first member above ``floor`` whose value on ``curve`` meets the
+    tolerance, None if no member up to ``k_max`` does; admissibility is
+    monotone along these curves, so bisection over the list of members
+    finds it."""
     first = floor + 1 + (-floor) % period
     members = range(first, k_max + 1, period)
-    i = bisect.bisect_left(members, True, key=lambda k: value(k) <= TOL)
+    i = bisect.bisect_left(members, True, key=lambda k: curve(k) <= TOL)
     return members[i] if i < len(members) else None
 
 
@@ -231,7 +280,8 @@ def test_sparse_members_search_finds_smallest_admissible_member(
         1, 1 + period, 1 + 2 * period, 1 + 3 * period]
     got, probes = run_search(monkeypatch, engine.choose_stage_index, selection,
                              value, floor, k_max, carrier)
-    expected = smallest_admissible_member(value, period, floor, k_max)
+    expected = smallest_admissible_member(
+        on_automorphisms(selection.sequence, value), period, floor, k_max)
     if expected is None:
         assert isinstance(got, str)
     else:
@@ -321,10 +371,11 @@ def test_oscillating_admissibility_ends_after_an_inadmissible_member(
     if isinstance(got, str):
         assert isinstance(expected, str)
         return
+    curve = on_automorphisms(selection.sequence, value)
     k = got[0]
-    assert floor < k <= k_max and selection.contains(k) and value(k) <= TOL
+    assert floor < k <= k_max and selection.contains(k) and curve(k) <= TOL
     previous = next((m for m in range(k - 1, floor, -1) if selection.contains(m)), None)
-    assert previous is None or value(previous) > TOL
+    assert previous is None or curve(previous) > TOL
 
 
 def test_jump_past_representable_indices_retries_at_doubling(monkeypatch):
@@ -351,9 +402,75 @@ def test_jump_past_representable_indices_retries_at_doubling(monkeypatch):
     assert len(probes) <= probe_budget(0, 10**20)
 
 
-def test_universal_n1_indices_in_at_most_twelve_probes_per_stage(
-    monkeypatch, tmp_path
+def test_each_automorphism_is_evaluated_once_across_blocks(monkeypatch):
+    # near 5e11 at rate 1, blocks of about 3e7 indices share one
+    # automorphism: the engine meets some again, evaluates none twice, and
+    # still returns the reference's index
+    selection = selection_for(THETA_CYCLES[0])
+    key = engine._automorphism_key
+    met = []
+
+    def recording_key(phi):
+        met.append(key(phi))
+        return met[-1]
+
+    monkeypatch.setattr(engine, "_automorphism_key", recording_key)
+    value = power_curve(5 * 10**11 + 12_345, 1.0)
+    got, expected, probes, _ = search_both(monkeypatch, selection, value, 0, 10**15)
+    assert got == expected
+    evaluated = [key(selection.sequence.at(k)) for k in probes]
+    assert len(set(evaluated)) == len(evaluated) == len(set(met))
+    assert len(met) > len(set(met))
+
+
+def explicit_selection(autos):
+    """A selection keeping every index of ``ExplicitSequence(autos)``,
+    whatever their permutations and angles."""
+    seq = ExplicitSequence(autos)
+    selection = select_subsequence(seq, len(autos), math.pi / 16, 0.05)
+    return dataclasses.replace(selection, residues=tuple(range(1, len(autos) + 1)))
+
+
+def twin(alpha=0.99 + 0j, theta=0.0, perm=(0, 1)):
+    """A two-variable automorphism whose second factor has ``alpha`` and
+    ``theta``; the first is the same for every twin."""
+    return PolydiskAutomorphism(
+        factors=(MobiusFactor(0.99 + 0j, 0.5), MobiusFactor(alpha, theta)), perm=perm)
+
+
+@pytest.mark.parametrize("variant,evaluations", [
+    (twin(), 1),
+    (twin(theta=1e-9), 2),
+    (twin(theta=-0.0), 2),
+    (twin(alpha=complex(0.99, -0.0)), 2),
+    (twin(perm=(1, 0)), 2),
+])
+def test_automorphisms_differing_in_one_angle_or_the_permutation_are_evaluated(
+    monkeypatch, variant, evaluations
 ):
+    # the search probes indices 1 and 3 and gives up: the first automorphism
+    # is evaluated again only if the third is the same map, bit for bit
+    # (0.0 and -0.0 are different bits)
+    selection = explicit_selection([twin(), twin(alpha=0.98 + 0j), variant])
+    probes = []
+    condition_values = engine.stage_condition_values
+
+    def counted_values(seq, axes, factors, projected, k, retro=None):
+        probes.append(k)
+        return condition_values(seq, axes, factors, projected, k, retro)
+
+    monkeypatch.setattr(engine, "stage_condition_values", counted_values)
+    axes = CompactProbe.create(0.3, 2, points_per_dim=4).axes()
+    with pytest.raises(SequenceExhausted) as caught:
+        engine.choose_stage_index(selection, axes, [], Constant(0.5, 2), 1, 0,
+                                  DELTA, 3)
+    assert probes == [1, 3][:evaluations]
+    assert caught.value.best["index"] == 1
+
+
+def counted_cli_run(monkeypatch, argv):
+    """Exit code of ``cli.run_cli(argv)`` and the stage_condition_values
+    calls of each of its stage-index searches."""
     probes = []
     search = engine.choose_stage_index
     condition_values = engine.stage_condition_values
@@ -368,11 +485,39 @@ def test_universal_n1_indices_in_at_most_twelve_probes_per_stage(
 
     monkeypatch.setattr(engine, "choose_stage_index", counted_search)
     monkeypatch.setattr(engine, "stage_condition_values", counted_values)
-    code = cli.run_cli(["--config", str(CONFIGS / "universal_n1.ini"),
-                        "--out", str(tmp_path), "--quiet"])
+    return cli.run_cli(argv), probes
+
+
+def test_universal_n1_indices_in_at_most_twelve_probes_per_stage(
+    monkeypatch, tmp_path
+):
+    code, probes = counted_cli_run(
+        monkeypatch, ["--config", str(CONFIGS / "universal_n1.ini"),
+                      "--out", str(tmp_path), "--quiet"])
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert report["results"]["recorded_indices"] == [1976, 15_641_760]
     # the doubling-then-bisection search took 22 and 48
     assert len(probes) == 2
     assert max(probes) <= 12
+
+
+def test_third_target_search_evaluates_few_automorphisms(monkeypatch, tmp_path):
+    # the construct-lowdim benchmark's three-target shape: stage 3 searches
+    # near k = 4.7e13, where 1 - 1/(k + 1) rounds to one value over blocks
+    # of about 2.6e11 indices. Evaluating every probe there took 48
+    text = (CONFIGS / "universal_n1.ini").read_text(encoding="utf-8")
+    text = text.replace("f2 = z[1]", "f2 = z[1]\nf3 = z[1]^2").replace(
+        "k_max = 1000000000", f"k_max = {10**15}")
+    config = tmp_path / "three.ini"
+    config.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    code, probes = counted_cli_run(
+        monkeypatch, ["--config", str(config), "--out", str(out), "--quiet"])
+    assert code == 2
+    results = json.loads((out / "report.json").read_text(encoding="utf-8"))["results"]
+    assert results["recorded_indices"] == [1976, 15_641_760]
+    assert (results["failure"]["stage"], results["failure"]["error"]) == (
+        3, "PrecisionExhausted")
+    assert len(probes) == 3
+    assert probes[2] <= 12
