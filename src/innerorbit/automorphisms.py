@@ -176,7 +176,7 @@ class PolydiskAutomorphism:
 
         Output coordinate j is factor j applied to input coordinate
         perm[j], array by array: a tensor grid maps to a permuted tensor
-        grid with n * (2Q+1) Moebius evaluations.
+        grid with n * Q Moebius evaluations.
         """
         axes = pts if isinstance(pts, PointAxes) else PointAxes.of_array(pts)
         out = PointAxes(

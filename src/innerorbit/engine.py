@@ -650,18 +650,18 @@ def verify_orbit(
     bit for bit. No automorphism is built per index.
 
     The sweep is pruned, and exactly so. A point's value does not depend on
-    the array it is evaluated in, so the sup of |x o phi_k - f_i| over a few
-    points of the probe (``_RING_ANGLES`` angles of its outer ring per
-    coordinate) is a lower bound L_i(k) on the grid sup, bit for bit. Per
+    the array it is evaluated in, so the sup of |x o phi_k - f_i| over
+    ``outer_ring``, every few angles of the grid (``_RING_ANGLES`` per
+    coordinate), is a lower bound L_i(k) on the grid sup, bit for bit. Per
     chunk, each target's index of least bound is evaluated on the whole
     grid, where it can lower that target's best value so far, U_i; then
     only the indices with L_i(k) <= U_i for some target are. Any other
     index has a sup above a value already reached, so the rows are those of
     the unpruned sweep. The bound is also tight: x o phi_k - f_i is
     holomorphic, so by the maximum principle its sup over the probe sits on
-    the distinguished boundary of radius r (Rudin, *Function Theory in
-    Polydiscs*, 1969), which the ring points sample. Each index is evaluated
-    on the whole grid at most once, and memory holds one chunk at a time.
+    r T^n (Rudin, *Function Theory in Polydiscs*, 1969), which the grid and,
+    more coarsely, the ring sample. Each index is evaluated on the whole
+    grid at most once, and memory holds one chunk at a time.
 
     The last chunk runs first, then the others in scan order. A row moves
     to an index whose sup is smaller, or equal and earlier in scan order,

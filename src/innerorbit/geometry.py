@@ -1,10 +1,10 @@
 """Points and sampling grids.
 
-Sup norms over compact sub-polydisks are approximated by maxima over
-tensor-product grids: per coordinate the rings rho in {0, r/2, r} sampled
-at Q equispaced angles. A grid is held one axis per coordinate
-(``PointAxes``), so Blaschke factors and automorphisms evaluate on
-n * (2Q+1) coordinate values rather than on all (2Q+1)**n points.
+Sup norms over r D^n are approximated by maxima over the torus grid r T^n
+at Q equispaced angles per coordinate (``torus_axis``): by the maximum
+principle a bounded holomorphic function's sup over r D^n is attained on
+r T^n. A grid is held one axis per coordinate (``PointAxes``), so Blaschke
+factors and automorphisms evaluate on n * Q values, not on all Q**n points.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ CLOSURE_TOL = 1e-12
 
 #: tolerance for unimodularity of torus-point coordinates
 TORUS_TOL = 1e-12
+
+#: refuse tensor grids beyond this many points (roughly 400 MB at n = 3)
+_MAX_GRID = 1 << 23
 
 
 def default_points_per_dim(dimension: int) -> int:
@@ -136,13 +139,23 @@ class PointAxes:
         return np.stack([self.expand(c) for c in self.coords], axis=-1)
 
 
+def torus_axis(radius: float, q: int, dimension: int) -> np.ndarray:
+    """The axis of the torus grid r T^n at q angles per coordinate, from
+    angle 0; refused, before any array exists, past _MAX_GRID points."""
+    if q < 1:
+        raise ValidityError(f"a torus grid needs at least one angle, got {q}")
+    if q**dimension > _MAX_GRID:
+        raise ValidityError(
+            f"tensor grid of {q}^{dimension} points is beyond desk scale; "
+            "lower the per-dimension resolution"
+        )
+    angles = 2.0 * np.pi * np.arange(q) / q
+    return radius * np.exp(1j * angles)
+
+
 @lru_cache(maxsize=256)
 def _axes_cached(radius: float, points_per_dim: int, dimension: int) -> PointAxes:
-    angles = 2.0 * np.pi * np.arange(points_per_dim) / points_per_dim
-    circle = np.exp(1j * angles)
-    axis = np.concatenate(
-        [np.zeros(1, dtype=complex), 0.5 * radius * circle, radius * circle]
-    )
+    axis = torus_axis(radius, points_per_dim, dimension)
     axis.setflags(write=False)
     return PointAxes.tensor(axis, dimension)
 
@@ -170,7 +183,8 @@ class CompactProbe:
         return cls(radius=radius, points_per_dim=points_per_dim, dimension=dimension)
 
     def axes(self) -> PointAxes:
-        """The sampling grid one axis per coordinate; all points interior."""
+        """The torus grid r T^n at ``points_per_dim`` angles per coordinate,
+        one axis per coordinate; all points interior."""
         a = _axes_cached(float(self.radius), int(self.points_per_dim), self.dimension)
         if np.max(np.abs(a.coords[0])) >= 1.0:
             raise EvaluationOutsideDomain("probe grid leaves the open polydisk")
@@ -182,12 +196,12 @@ class CompactProbe:
         return self.axes().to_array()
 
     def outer_ring(self, angles: int) -> PointAxes:
-        """The points of ``axes()`` with every coordinate on the ring of
-        radius r, at every ceil(Q / angles)-th angle: at most
-        angles**dimension of them, each coordinate the grid's own value."""
-        q = self.points_per_dim
+        """The points of ``axes()`` at every ceil(Q / angles)-th angle from
+        angle 0: at most angles**dimension of them, each coordinate the
+        grid's own value."""
         axis = self.axes().coords[0].ravel()
-        return PointAxes.tensor(axis[q + 1 :: math.ceil(q / angles)], self.dimension)
+        step = math.ceil(self.points_per_dim / angles)
+        return PointAxes.tensor(axis[::step], self.dimension)
 
 
 def probe_sup(f, g, probe: CompactProbe) -> float:

@@ -28,7 +28,7 @@ from .errors import (
     RootFindFailure,
     ValidityError,
 )
-from .geometry import PointAxes, TorusPoint
+from .geometry import PointAxes, TorusPoint, torus_axis
 from .holo import (
     BlaschkeFactor,
     Composed,
@@ -44,25 +44,9 @@ from .holo import (
 #: most points in one evaluation block of a torus shell
 _CHUNK = 1 << 20
 
-#: refuse tensor grids beyond this many points (roughly 400 MB at n = 3)
-_MAX_GRID = 1 << 23
-
 
 # ---------------------------------------------------------------------------
 # torus grids and modulus diagnostics
-
-def _torus_axis(dimension: int, q: int) -> np.ndarray:
-    """The axis of the q^n torus grid: q equispaced points of the unit circle."""
-    if q < 1:
-        raise ValidityError(f"a torus grid needs at least one angle, got {q}")
-    if q**dimension > _MAX_GRID:
-        raise ValidityError(
-            f"tensor grid of {q}^{dimension} points is beyond desk scale; "
-            "lower the per-dimension resolution"
-        )
-    angles = 2.0 * np.pi * np.arange(q) / q
-    return np.exp(1j * angles)
-
 
 def _shell_blocks(axis: np.ndarray, dimension: int):
     """The torus shell axis^dimension as PointAxes blocks of whole rows
@@ -100,7 +84,7 @@ def radial_modulus_report(
         raise ValidityError("radii must lie in (0, 1)")
     if any(b >= a for a, b in zip(radii[1:], radii)):
         raise ValidityError("radii must be strictly increasing")
-    circle = _torus_axis(f.dimension, angles_per_dim)
+    circle = torus_axis(1.0, angles_per_dim, f.dimension)
     deviations = []
     for r in radii:
         worst = 0.0
@@ -128,11 +112,10 @@ def good_inner_integral_detail(
         raise ValidityError("need at least 16 quadrature points per dimension")
     if clamp <= 0.0:
         raise ValidityError("clamp level must be positive")
-    circle = _torus_axis(g.dimension, quad_points)
     floor = math.exp(-clamp)
     total = 0.0
     clamped = 0
-    for block in _shell_blocks(r * circle, g.dimension):
+    for block in _shell_blocks(torus_axis(r, quad_points, g.dimension), g.dimension):
         # expanded to one value per point: the sum runs over the block's
         # points in C order
         mods = block.expand(np.abs(g._eval(block)))

@@ -8,6 +8,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,30 @@ def test_empty_torus_shell_exits_two_with_failure(tmp_path):
     results = json.loads((out / "report.json").read_text())["results"]
     assert "radial" not in results
     assert results["failure"]["error"] == "ValidityError"
+
+
+def test_oversized_probe_grid_exits_two_with_failure(tmp_path):
+    # 204^3 points exceed the 2^23-point cap; refused before any array exists
+    text = (N1_CONFIG.replace("dimension = 1", "dimension = 3")
+            .replace("lambda = 1+0i", "lambda = 1+0i,1+0i,1+0i")
+            .replace("theta = 0.0", "theta = 0.0,0.0,0.0")
+            .replace("perm = 1", "perm = 1,2,3")
+            .replace("f2 = z[1]", "f2 = z[1] * z[2] * z[3]")
+            .replace("points_per_dim = 64", "points_per_dim = 204"))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = run_cli(["--config", str(_write(tmp_path, "big.ini", text)),
+                        "--out", str(out), "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    # one complex array on the grid would take 136 MB
+    assert peak < 2**24
+    failure = json.loads((out / "report.json").read_text())["results"]["failure"]
+    assert failure == {"error": "ValidityError", "message": "tensor grid of 204^3 "
+                       "points is beyond desk scale; lower the per-dimension resolution"}
 
 
 def test_good_inner_mode_csv_values(tmp_path):

@@ -3,6 +3,7 @@ import functools
 import math
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from innerorbit import (
     select_subsequence,
     verify_orbit,
 )
-from innerorbit import engine
+from innerorbit import cli, engine
 from innerorbit.engine import _corrector_index_for, stage_condition_values
 from innerorbit.errors import (
     InterferenceBudgetExceeded,
@@ -43,7 +44,9 @@ from innerorbit.errors import (
 )
 
 from test_kernel import random_tree, unstacked_eval
-from util import random_automorphism
+from util import random_automorphism, three_ring_axes
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def constant_sequence(n=1):
@@ -702,23 +705,30 @@ def test_sweep_builds_each_index_once_and_evaluates_it_at_most_once(monkeypatch)
 
 
 def test_pruned_sweep_when_the_sup_lies_off_the_outer_ring():
-    # x o phi_k - f = e^{4 i t_k} z^4 - r^4 for rotations phi_k by t_k: on
-    # the 4 outer-ring angles it is (e^{4 i t_k} - 1) r^4, at the centre
-    # -r^4. Where |e^{4 i t_k} - 1| < 1 the grid sup is r^4, at the centre,
-    # and the ring bound is loose; those indices tie, and the first wins
-    probe = CompactProbe.create(0.5, 1, 4)
+    # phi_k(z) = e^{i t_k} (a - z)/(1 - conj(a) z), with a the grid point at
+    # angle 2 pi / 16, which the ring's stride of 2 skips: phi_k(a) = 0, so
+    # |x o phi_k - c| = |c| at a for every k, bit for bit. phi_k maps the
+    # circle r T onto the circle with diameter [0, 2 a e^{i t_k} / (1 + r^2)],
+    # which for t_k = 0 lies in the disk |w - c| <= |c|, c = 1.2 a, touching
+    # its edge at 0 only. Where |t_k| is small the other grid points stay
+    # inside, so the grid sup is |c|, at a, and the ring bound is loose;
+    # those indices tie, and the first wins
+    probe = CompactProbe.create(0.5, 1, 16)
+    a = complex(probe.axes().coords[0].ravel()[1])
     angles = [0.7, 0.05, 0.6, 0.0, 0.1, 0.75, 0.02]
     seq = ExplicitSequence(
-        PolydiskAutomorphism((MobiusFactor(0.0, math.pi + t),), (0,)) for t in angles
+        PolydiskAutomorphism((MobiusFactor(a, t),), (0,)) for t in angles
     )
-    x = Power(Coordinate(1, 1), 4)
-    targets = (Constant(0.5**4, 1),)
+    x, c = Coordinate(1, 1), 1.2 * a
+    targets = (Constant(c, 1),)
     rows = verify_orbit(x, seq, targets, probe, len(angles))
     assert rows == reference_sweep(x, seq, targets, probe, range(1, len(angles) + 1))
-    assert rows[0]["best_index"] == 2
+    assert rows[0] == {"target": 1, "best_index": 2, "value": np.abs(c)}
+    ties = {reference_sweep(x, seq, targets, probe, [k])[0]["value"] for k in (4, 5, 7)}
+    assert ties == {np.abs(c)}
     ring = probe.outer_ring(engine._RING_ANGLES)
-    bound = float(np.max(np.abs(x._eval(seq.at(2).transform(ring)) - 0.5**4)))
-    assert bound < 0.5 * rows[0]["value"]
+    bound = float(np.max(np.abs(seq.at(2).transform(ring).coords[0] - c)))
+    assert bound < rows[0]["value"]
 
 
 def test_pruned_sweep_keeps_an_earlier_index_whose_bound_ties():
@@ -731,7 +741,7 @@ def test_pruned_sweep_keeps_an_earlier_index_whose_bound_ties():
     axis = probe.axes().coords[0].ravel()
     seq = ExplicitSequence(
         PolydiskAutomorphism((MobiusFactor(z, -cmath.phase(z)),), (0,))
-        for z in map(complex, axis[17:19])
+        for z in map(complex, axis[0:2])
     )
     x, targets = Coordinate(1, 1), (Constant(0.5, 1),)
     ring = probe.outer_ring(engine._RING_ANGLES)
@@ -809,14 +819,14 @@ def test_rising_sup_evaluates_few_indices_on_the_grid(monkeypatch):
 
 
 def test_pruned_index_with_a_pole_on_the_grid_raises_nothing():
-    # x has its zero b within 2.3e-16 of the circle, at outer-ring angle
+    # x has its zero b within 2.3e-16 of the circle, at grid angle
     # 2 pi / 64 of a probe of radius 1 - 3.3e-16: the identity (index 2)
-    # takes that ring point to within 5e-16 of the pole 1 / conj(b), while
+    # takes that grid point to within 5e-16 of the pole 1 / conj(b), while
     # the ring bound samples only every eighth angle. Index 1, a rotation by
     # half an angle step, reproduces the target, so index 2 is pruned and
     # its pole is never evaluated; swept alone, or unpruned, it raises
     probe = CompactProbe.create(1.0 - 3 * 2.0**-53, 1, 64)
-    on_ring = complex(probe.axes().coords[0].ravel()[64 + 2])
+    on_ring = complex(probe.axes().coords[0].ravel()[1])
     x = BlaschkeFactor(MobiusFactor((1.0 - 2.0**-52) * (on_ring / abs(on_ring)), 0.0))
     half_step = PolydiskAutomorphism((MobiusFactor(0.0, math.pi + math.pi / 64),), (0,))
     seq = ExplicitSequence([half_step, PolydiskAutomorphism.identity(1)])
@@ -830,18 +840,21 @@ def test_pruned_index_with_a_pole_on_the_grid_raises_nothing():
         reference_sweep(x, seq, targets, probe, [1, 2])
 
 
-def test_run_two_targets_n3():
-    seq = constant_sequence(3)
-    probe = CompactProbe.create(0.25, 3)
-    cfg = EngineConfig(
-        sequence=seq,
+def two_targets_n3() -> EngineConfig:
+    return EngineConfig(
+        sequence=constant_sequence(3),
         targets=(
             Constant(complex(0.49, 0.01), 3),
             Product((Coordinate(1, 3), Coordinate(2, 3), Coordinate(3, 3))),
         ),
-        probe=probe,
+        probe=CompactProbe.create(0.25, 3),
         k_max=10**9,
     )
+
+
+def test_run_two_targets_n3():
+    cfg = two_targets_n3()
+    seq, probe = cfg.sequence, cfg.probe
     run = run_universality(cfg)
     assert run.failure is None
     assert len(run.stages) == 2
@@ -854,6 +867,35 @@ def test_run_two_targets_n3():
     for row, expected in zip(rows, run.verification):
         assert row["best_index"] == expected["best_index"]
         assert row["value"] == expected["value"]
+
+
+def shipped_config(name) -> EngineConfig:
+    cfg = cli.load_config(CONFIGS / name)
+    return EngineConfig(sequence=cli.build_sequence(cfg), targets=cli.build_targets(cfg),
+                        probe=cli.build_probe(cfg), **cfg.engine)
+
+
+@pytest.mark.parametrize("make", [
+    functools.partial(shipped_config, "universal_n1.ini"),
+    functools.partial(shipped_config, "universal_n2_swap.ini"),
+    two_targets_n3,
+], ids=["universal_n1", "universal_n2_swap", "two_targets_n3"])
+def test_torus_grid_sups_equal_those_of_the_three_ring_grid(make):
+    # by the maximum principle each sup over r D^n sits on r T^n, and the
+    # grid's points are the r ring's of {0, r/2, r}: so the fidelities and
+    # verification values are the three-ring grid's maxima, bit for bit
+    cfg = make()
+    run = run_universality(cfg)
+    assert run.failure is None
+    rings = three_ring_axes(cfg.probe)
+    for s in run.stages:
+        image = cfg.sequence.at(s.chosen_index).transform(rings)
+        diff = s.factor.product._eval(image) - s.projected.product._eval(rings)
+        assert s.fidelity == float(np.max(np.abs(diff)))
+    for row, target in zip(run.verification, cfg.targets):
+        image = cfg.sequence.at(row["best_index"]).transform(rings)
+        diff = run.product._eval(image) - target._eval(rings)
+        assert row["value"] == float(np.max(np.abs(diff)))
 
 
 def test_run_two_targets_n4():

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from innerorbit import (
 )
 from innerorbit.errors import DimensionMismatch, ValidityError
 
-from util import random_blaschke_tree
+from util import random_blaschke_tree, three_ring_axes
 
 
 def test_cpoint_interior_flag():
@@ -31,8 +34,38 @@ def test_torus_point_validation():
 def test_probe_grid_shape_and_interior():
     probe = CompactProbe.create(0.5, 2, points_per_dim=8)
     grid = probe.grid()
-    assert grid.shape == ((2 * 8 + 1) ** 2, 2)
-    assert np.max(np.abs(grid)) <= 0.5 + 1e-15
+    assert grid.shape == (8**2, 2)
+    assert np.all(np.abs(np.abs(grid) - 0.5) <= 1e-15)
+
+
+@pytest.mark.parametrize(
+    "radius,n,q", [(0.3, 1, 64), (0.25, 2, 24), (0.25, 3, 12), (0.5, 2, 5)]
+)
+def test_probe_grid_is_the_outer_ring_of_the_three_ring_grid(radius, n, q):
+    # bit for bit: the r ring of {0, r/2, r} is the torus grid, and the
+    # ring bound's stride of it is the three-ring grid's stride from angle 0
+    probe = CompactProbe.create(radius, n, points_per_dim=q)
+    old = three_ring_axes(probe).coords[0].ravel()
+    axis = probe.axes().coords[0].ravel()
+    assert axis.tobytes() == old[q + 1 :].tobytes()
+    step = math.ceil(q / 8)
+    assert probe.outer_ring(8).coords[0].ravel().tobytes() == old[q + 1 :: step].tobytes()
+    assert probe.outer_ring(8).layout == (len(range(0, q, step)),) * n
+
+
+def test_oversized_probe_grid_is_refused_before_any_array_exists():
+    # 204^3 > 2^23 points, 136 MB per complex array
+    probe = CompactProbe.create(0.3, 3, points_per_dim=204)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidityError, match="204\\^3 points is beyond desk scale"):
+            probe.axes()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    # the largest grid allowed still builds
+    assert CompactProbe.create(0.3, 3, points_per_dim=203).axes().layout == (203,) * 3
 
 
 def test_probe_sup_identity_is_zero():

@@ -112,7 +112,7 @@ PROBES = [
 def test_tree_on_axes_equals_pointwise(probe):
     rng = np.random.default_rng(1000 + 10 * probe.dimension + probe.points_per_dim)
     axes, grid = probe.axes(), probe.grid()
-    layout = (2 * probe.points_per_dim + 1,) * probe.dimension
+    layout = (probe.points_per_dim,) * probe.dimension
     assert axes.shape == grid.shape
     for _ in range(40):
         f = random_tree(rng, probe.dimension)
@@ -139,14 +139,14 @@ def test_transform_on_axes_equals_pointwise(probe):
 def test_axes_lay_each_coordinate_on_its_own_dimension():
     probe = CompactProbe.create(0.5, 3, points_per_dim=4)
     axes = probe.axes()
-    assert [c.shape for c in axes.coords] == [(9, 1, 1), (1, 9, 1), (1, 1, 9)]
-    assert axes.layout == (9, 9, 9)
+    assert [c.shape for c in axes.coords] == [(4, 1, 1), (1, 4, 1), (1, 1, 4)]
+    assert axes.layout == (4, 4, 4)
     assert np.array_equal(axes.to_array(), probe.grid())
     # a permutation moves coordinates between array dimensions, not values
     swap = PolydiskAutomorphism.identity(3)
     swap = PolydiskAutomorphism(swap.factors, (2, 0, 1))
     assert [c.shape for c in swap.transform(axes).coords] == [
-        (1, 1, 9), (9, 1, 1), (1, 9, 1)
+        (1, 1, 4), (4, 1, 1), (1, 4, 1)
     ]
 
 

@@ -9,10 +9,24 @@ from innerorbit import (
     BlaschkeFactor,
     Constant,
     MobiusFactor,
+    PointAxes,
     PolydiskAutomorphism,
     Product,
     TorusPoint,
 )
+
+
+def three_ring_axes(probe):
+    """The probe grid of the rings {0, r/2, r} at Q angles per coordinate,
+    which the torus grid of ``probe.axes()`` replaced: the centre first,
+    then the r/2 ring, then the r ring, each ring from angle 0."""
+    q = probe.points_per_dim
+    angles = 2.0 * np.pi * np.arange(q) / q
+    circle = np.exp(1j * angles)
+    axis = np.concatenate(
+        [np.zeros(1, dtype=complex), 0.5 * probe.radius * circle, probe.radius * circle]
+    )
+    return PointAxes.tensor(axis, probe.dimension)
 
 
 def random_mobius(rng, max_alpha=0.8):
