@@ -3,21 +3,21 @@
 Given a sequence of automorphisms whose Moebius parameters approach the
 distinguished boundary, the engine stabilizes a subsequence with constant
 permutation and convergent angles (limit points lambda for the forward
-maps, gamma for the inverses), projects each target onto the pin-gamma
-family, and builds one pin-lambda factor per target:
+maps, gamma for the inverses), projects each target onto the family pinned
+to 1 at gamma, and builds one pin-lambda factor per target:
 
+  - the projected target A is inner, with A(gamma) = 1 (``_approximant_for``);
   - stage index n_j is the smallest admissible subsequence index above the
     previous one such that every earlier factor composed with phi_{n_j} is
-    within delta * 2^-j of the constant 1 on the probe, and the projected
-    target composed with phi_{n_j}^{-1} is too;
-  - the factor x_j pulls the projected target's approximant A back through
-    phi_{n_j}^{-1} (exact in the Blaschke class) and re-pins it at lambda
-    with a corrector whose index is raised until it is invisible at the
-    depth the image phi_{n_j}(probe) reaches toward the boundary;
-  - a retroactive check bounds |x_j - 1| on all earlier image compacts.
-    There x_j tends to A(gamma) as n_j grows, so a stage with |A(gamma) - 1|
-    past the budget fails before searching, and one whose factor fails the
-    check searches once more, with bounds that imply the check.
+    within delta * 2^-j of the constant 1 on the probe, and A composed with
+    phi_{n_j}^{-1} is too;
+  - the factor x_j pulls A back through phi_{n_j}^{-1} (exact in the
+    Blaschke class) and pins it at lambda with a corrector whose index is
+    raised until it is invisible at the depth the image phi_{n_j}(probe)
+    reaches toward the boundary;
+  - a retroactive check bounds |x_j - 1| on all earlier image compacts,
+    where x_j tends to A(gamma) = 1 as n_j grows. A factor that fails it
+    searches once more, with bounds that imply the check.
 
 The final product x = x_1 * ... * x_J is inner, continuous on the closed
 polydisk, and its orbit x o phi_{n_j} lands within epsilon_j + delta +
@@ -66,6 +66,9 @@ from .inner_tools import (
     make_generating_element,
     schur_project_adaptive,
 )
+
+#: |f(gamma) - 1| up to which a Blaschke-type target is pinned as it is
+_PIN_TOL = 1e-12
 
 #: hard ceiling on corrector indices; beyond this 1 - 2^-j is within a few
 #: ulps of 1 and the factor stops being representable
@@ -132,7 +135,7 @@ class StageRecord:
     stage: int
     chosen_index: int
     corrector_index: int
-    projected: GeneratingElement
+    projected: HoloFunction
     factor: GeneratingElement
     fidelity: float
     projection_error: float
@@ -170,65 +173,63 @@ def validate_targets(config: EngineConfig) -> None:
 # ---------------------------------------------------------------------------
 # projection onto the pinned families
 
-def _schur_one_variable(f1: HoloFunction, depth: int):
+def _schur_one_variable(f1: HoloFunction, depth: int, pin=None):
     coeffs = taylor_coeffs(f1, 2 * depth)
-    tree, _ = schur_project_adaptive(coeffs, depth)
+    tree, _ = schur_project_adaptive(coeffs, depth, pin)
     return tree
 
 
-def _approximant_for(f: HoloFunction, depth: int) -> HoloFunction:
-    """Inner, closure-continuous approximant of a ball-function tree.
+def _approximant_for(f: HoloFunction, depth: int, pin: TorusPoint, tol: float):
+    """Inner, closure-continuous approximant A of a ball-function tree with
+    A(pin) = 1 up to rounding.
 
-    Blaschke-type trees pass through exactly; anything else is
-    Schur-projected, per variable when multivariate (product form only).
+    A Blaschke-type tree that is 1 at the pin is its own A. Anything else
+    must be a product form (``factor_product_form``), whose per-coordinate
+    parts pass through if Blaschke-type and are Schur-projected otherwise.
+    The carrier, the least coordinate used (or 1), takes the constant, and
+    its Schur tail is pinned to conj(prod of the other parts at the pin); a
+    Blaschke-type carrier has no tail to set, so it is shrunk by 1 - tol/2
+    first, at most tol/2 of error.
     """
     flat = flatten(f)
-    if is_blaschke_type(flat):
+    if is_blaschke_type(flat) and abs(flat.eval(pin) - 1.0) <= _PIN_TOL:
         return flat
     n = flat.dimension
-    if n == 1:
-        return _schur_one_variable(flat, depth)
     constant, buckets = factor_product_form(flat)
-    if not buckets:
-        one_var = Constant(constant, 1)
-        return remap_coordinates(_schur_one_variable(one_var, depth), {1: 1}, n)
-    parts = []
-    carrier = min(buckets)
-    for coord in sorted(buckets):
+    carrier = min(buckets, default=1)
+    parts, others = [], 1.0
+    for coord in sorted(buckets.keys() - {carrier}):
         one_var = product_of(
-            tuple(remap_coordinates(node, {coord: 1}, 1) for node in buckets[coord])
-        )
-        if coord == carrier and constant != 1.0:
-            one_var = product_of((Constant(constant, 1), one_var))
-        if is_blaschke_type(one_var):
-            projected = one_var
-        else:
-            projected = _schur_one_variable(one_var, depth)
-        parts.append(remap_coordinates(projected, {1: coord}, n))
-    return product_of(tuple(parts))
+            tuple(remap_coordinates(node, {coord: 1}, 1) for node in buckets[coord]))
+        if not is_blaschke_type(one_var):
+            one_var = _schur_one_variable(one_var, depth)
+        others *= one_var.eval((pin.coords[coord - 1],))
+        parts.append(remap_coordinates(one_var, {1: coord}, n))
+    one_var = product_of((Constant(constant, 1), *(
+        remap_coordinates(node, {carrier: 1}, 1) for node in buckets.get(carrier, ()))))
+    if is_blaschke_type(one_var):
+        one_var = product_of((Constant(1.0 - tol / 2.0, 1), one_var))
+    one_var = _schur_one_variable(
+        one_var, depth, (pin.coords[carrier - 1], others.conjugate()))
+    return product_of((remap_coordinates(one_var, {1: carrier}, n), *parts))
 
 
 def project_to_family(
     f: HoloFunction,
     pin: TorusPoint,
-    j: int,
     tol: float,
     probe: CompactProbe,
     depth: int,
-) -> tuple[GeneratingElement, float]:
-    """Project a ball function onto the pinned generating family; returns
-    (element, probe sup of element - f).
-
-    The approximant reproduces f within tol on the probe; the corrector adds
-    at most (1+r)/(1-r) * 2^-j on a radius-r probe, so the element stays
-    within tol + 8 * 2^-j of f there.
+) -> tuple[HoloFunction, float]:
+    """Project a ball function onto the family pinned to 1 at ``pin``;
+    returns (A, probe sup of A - f), A the approximant of
+    ``_approximant_for``, which must reproduce f within tol on the probe.
     """
-    approximant = _approximant_for(f, depth)
+    approximant = _approximant_for(f, depth, pin, tol)
     achieved = probe_sup(approximant, f, probe)
     if achieved > tol:
         raise ProjectionFailed(achieved=achieved, requested=tol)
-    element = make_generating_element(j, pin, approximant)
-    return element, probe_sup(element.product, f, probe)
+    return approximant, achieved
 
 
 # ---------------------------------------------------------------------------
@@ -478,21 +479,19 @@ def build_factor(
     lam: TorusPoint,
     j: int,
     n_j: int,
-    projected: GeneratingElement,
+    projected: HoloFunction,
     prior_images,
 ):
     """Pin-lambda factor for stage j at index n_j.
 
-    The approximant is the exact pullback of the projected target's
-    approximant A through phi_{n_j}^{-1}; the projected target's own
-    corrector is not pulled back (it is within (1+r)/(1-r)*2^-index of 1 on
-    the probe already, and its pullback would swing wildly near lambda), so
-    on earlier image compacts the factor tends to A(gamma) as n_j grows. Its
-    interference there is checked, not assumed, and raises past the budget.
+    The factor's approximant is the exact pullback of the projected target
+    A through phi_{n_j}^{-1}, so on earlier image compacts the factor tends
+    to A(gamma) = 1 as n_j grows. Its interference there is checked, not
+    assumed, and raises past the budget; so does a fidelity past epsilon_j.
 
     Returns (factor, corrector index, phi_{n_j}(probe), retroactive values,
-    fidelity, roundtrip error), the last the probe sup of the projected
-    target through phi_{n_j} o phi_{n_j}^{-1} against itself.
+    fidelity, roundtrip error), the last the probe sup of A through
+    phi_{n_j} o phi_{n_j}^{-1} against itself.
     """
     seq = config.sequence
     axes = config.probe.axes()
@@ -502,7 +501,7 @@ def build_factor(
     eps_j = config.stage_tolerance(j)
     idx = _corrector_index_for(j, config.j_min, _depth(image), eps_j)
     inverse = auto_inverse(phi)
-    pulled = pullback(projected.approximant, inverse)
+    pulled = pullback(projected, inverse)
     factor = make_generating_element(idx, lam, pulled)
 
     budget = config.delta * math.ldexp(1.0, -j)
@@ -515,7 +514,7 @@ def build_factor(
             {"retro": retro},
         )
 
-    target = projected.product._eval(axes)
+    target = projected._eval(axes)
     fidelity = float(np.max(np.abs(factor.product._eval(image) - target)))
     if fidelity > eps_j:
         raise InterferenceBudgetExceeded(
@@ -523,7 +522,7 @@ def build_factor(
             {"fidelity": fidelity},
         )
     back = phi.transform(inverse.transform(axes))
-    roundtrip = float(np.max(np.abs(projected.product._eval(back) - target)))
+    roundtrip = float(np.max(np.abs(projected._eval(back) - target)))
     return factor, idx, image, retro, fidelity, roundtrip
 
 
@@ -563,27 +562,17 @@ def run_universality(config: EngineConfig) -> UniversalityRun:
         eps_j = config.stage_tolerance(j)
         try:
             projected, proj_err = project_to_family(
-                target, gamma, j + config.j_min, eps_j / 2.0, config.probe,
-                config.schur_depth,
-            )
-            budget = config.delta * math.ldexp(1.0, -j)
-            limit = abs(projected.approximant.eval(gamma) - 1.0) if images else 0.0
-            if limit > budget:
-                raise InterferenceBudgetExceeded(
-                    f"stage {j} factor tends to |A(gamma) - 1| = {limit:.3e} "
-                    f"on earlier images, beyond {budget:.3e} at every index",
-                    {"limit": limit, "budget": budget},
-                )
+                target, gamma, eps_j / 2.0, config.probe, config.schur_depth)
             search = functools.partial(
                 choose_stage_index, selection, axes, [x.product for x in factors],
-                projected.product, j, delta=config.delta, k_max=config.k_max,
+                projected, j, delta=config.delta, k_max=config.k_max,
             )
             n_j, conds_a, cond_b = search(floor)
             try:
                 built = build_factor(config, lam, j, n_j, projected, images)
             except InterferenceBudgetExceeded:
                 bounds = functools.partial(retro_condition_values, images,
-                                           projected.approximant, eps_j)
+                                           projected, eps_j)
                 n_j, conds_a, cond_b = search(n_j, retro=bounds)
                 built = build_factor(config, lam, j, n_j, projected, images)
             factor, idx, image, retro, fidelity, roundtrip = built

@@ -7,7 +7,8 @@ r T^n is a tensor grid held one axis per coordinate (``PointAxes``), so a
 Blaschke factor costs q Moebius evaluations rather than q^n.
 
 Construction: the Schur-algorithm projector onto finite Blaschke products,
-the one-factor corrector pinned to 1 - 2^-j at the origin with a prescribed
+optionally pinned to a value at a boundary point through its tail, the
+one-factor corrector pinned to 1 - 2^-j at the origin with a prescribed
 unimodular value at a boundary point, and generating elements
 G = approximant * corrector normalized to take the value 1 at a pin point
 of the distinguished boundary.
@@ -245,16 +246,20 @@ def _blaschke_from_zeros(zeros, unimodular: complex) -> HoloFunction:
     return Product(tuple(factors))
 
 
-def schur_project_adaptive(coeffs, depth: int):
+def schur_project_adaptive(coeffs, depth: int, pin=None):
     """Finite Blaschke product matching the first ``depth`` Taylor
     coefficients of the input ball function; returns (tree, depth d used).
 
     One pass of ``schur_parameters``. If it ends on a parameter on the
     circle, the input is a finite Blaschke product of degree d < depth: that
     parameter, divided by its modulus, is the tail eta, and the d parameters
-    before it are kept (d = 0 gives the constant eta). Otherwise d = depth
-    and eta = 1: the recursion is truncated there and the remainder replaced
-    by eta. Reconstruction runs in polynomial arithmetic on p/q, where p
+    before it are kept (d = 0 gives the constant eta). Otherwise d = depth,
+    and the remainder is replaced by a unimodular eta, on which the first d
+    coefficients do not depend: 1, or with ``pin`` = (zeta, w) on the
+    circle, the Schur step on values at zeta, w_0 = w and
+    w_{k+1} = (w_k - gamma_k) / (zeta (1 - conj(gamma_k) w_k)), gives the
+    eta = w_d whose product is w at zeta (I. Schur, J. reine angew. Math.
+    147, 1917). Reconstruction runs in polynomial arithmetic on p/q, where p
     keeps its leading coefficient eta and q = eta p* is p's reciprocal
     polynomial; so with a_k the roots of p the product is
     (-1)^d eta prod (a_k - z)/(1 - conj(a_k) z). For two ball
@@ -268,6 +273,11 @@ def schur_project_adaptive(coeffs, depth: int):
         eta /= abs(eta)
         if not gammas:
             return Constant(eta, dimension=1), 0
+    elif pin is not None:
+        zeta, eta = pin
+        for gamma in gammas:
+            eta = (eta - gamma) / (zeta * (1.0 - gamma.conjugate() * eta))
+        eta /= abs(eta)
     depth = len(gammas)
 
     p = np.array([eta], dtype=complex)

@@ -15,7 +15,13 @@ import pytest
 
 import innerorbit
 
-from innerorbit import EngineConfig, engine, good_inner_trend, radial_modulus_report
+from innerorbit import (
+    EngineConfig,
+    SubsequenceSelection,
+    engine,
+    good_inner_trend,
+    radial_modulus_report,
+)
 from innerorbit.cli import (
     _RUN,
     _schema,
@@ -302,33 +308,23 @@ def test_any_library_error_in_a_stage_keeps_completed_stages(tmp_path, monkeypat
     assert results["recorded_indices"] == [results["stages"][0]["chosen_index"]]
 
 
-def test_stage_beyond_its_interference_limit_fails_before_searching(
-        tmp_path, monkeypatch):
-    # on the stage-1 image, x_2 tends to A(gamma) = 0.5+0.05i at every
-    # index: |A(gamma) - 1| = 6.7e-2 against a budget of 2.5e-3
-    searched = []
-    choose_stage_index = engine.choose_stage_index
-
-    def counted(selection, axes, factors, projected, j, *args, **kwargs):
-        searched.append(j)
-        return choose_stage_index(selection, axes, factors, projected, j,
-                                  *args, **kwargs)
-
-    monkeypatch.setattr(engine, "choose_stage_index", counted)
-    text = N1_CONFIG.replace("f1 = const 0.5+0i\nf2 = z[1]",
-                             "f1 = z[1]\nf2 = const 0.5+0.05i")
-    cfg_path = _write(tmp_path, "hopeless.ini", text)
+@pytest.mark.parametrize("targets,indices", [
+    ("f1 = z[1]\nf2 = const 0.5+0.05i", [370, 195_041_152]),
+    ("f1 = const 0.5+0i\nf2 = const 0.5+0.05i", [1_976, 15_855_962]),
+], ids=["after_z", "after_constant"])
+def test_target_off_one_at_gamma_fits_as_a_later_stage(tmp_path, targets, indices):
+    # 0.5+0.05i is not real, so the Schur approximant with the tail 1 is
+    # 0.5+0.05i-ish but not 1 at gamma, and an unpinned x_2 would tend to
+    # it on the stage-1 image; pinned at gamma, the stage fits
+    text = N1_CONFIG.replace("f1 = const 0.5+0i\nf2 = z[1]", targets)
+    cfg_path = _write(tmp_path, "pinned.ini", text)
     out = tmp_path / "out"
-    assert run_cli(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == 2
-    assert searched == [1]
+    assert run_cli(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
     results = json.loads((out / "report.json").read_text())["results"]
-    assert results["recorded_indices"] == [371]
-    assert results["failure"] == {
-        "stage": 2,
-        "error": "InterferenceBudgetExceeded",
-        "message": "stage 2 factor tends to |A(gamma) - 1| = 6.663e-02 on earlier "
-                   "images, beyond 2.500e-03 at every index",
-    }
+    assert results["recorded_indices"] == indices
+    assert results["failure"] is None
+    for row in results["verification"]:
+        assert row["value"] < row["bound"]
 
 
 def test_verify_orbit_reproduces_report(tmp_path):
@@ -473,8 +469,8 @@ def test_index_past_binary64_resolution_keeps_completed_stages(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == 2
     results = json.loads((out / "report.json").read_text())["results"]
-    assert [s["chosen_index"] for s in results["stages"]] == [198_097_500]
-    assert results["recorded_indices"] == [198_097_500]
+    assert [s["chosen_index"] for s in results["stages"]] == [198_095_234]
+    assert results["recorded_indices"] == [198_095_234]
     failure = results["failure"]
     assert failure["stage"] == 2
     assert failure["error"] == "ValidityError"
@@ -482,7 +478,7 @@ def test_index_past_binary64_resolution_keeps_completed_stages(tmp_path):
                          r"in binary64", failure["message"])
     assert named
     k = int(named[1])
-    assert k > 198_097_500 and 1.0 - 1.0 / (k + 1.0) == 1.0
+    assert k > 198_095_234 and 1.0 - 1.0 / (k + 1.0) == 1.0
 
 
 def test_doubling_step_past_k_max_tries_the_last_member(tmp_path):
@@ -495,7 +491,7 @@ def test_doubling_step_past_k_max_tries_the_last_member(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == 2
     results = json.loads((out / "report.json").read_text())["results"]
-    assert results["recorded_indices"] == [198_097_500]
+    assert results["recorded_indices"] == [198_095_234]
     failure = results["failure"]
     assert failure["stage"] == 2
     assert failure["error"] == "SequenceExhausted"
@@ -932,17 +928,29 @@ def test_bad_generated_sequence_exits_one_in_every_mode(tmp_path, capsys, mode, 
     assert not (out / "report.json").exists()
 
 
-def test_sparse_schedule_exits_two_with_partial_report(tmp_path):
+def test_sparse_schedule_exits_two_with_partial_report(tmp_path, monkeypatch):
     # one subsequence member every four indices: a doubling step of the
-    # stage-index search can land on the member its lower end holds
+    # stage-index search can land on the member its lower end holds. Here
+    # stage 2's does: from member 3 761, the steps to 3 763 and to 3 765
+    # both land on member 3 765, the second after the jump to the last
+    # member up to k_max was inadmissible
+    calls = []
+    member_from = SubsequenceSelection.member_from
+
+    def recorded(self, k, top):
+        calls.append((k, top, member_from(self, k, top)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(SubsequenceSelection, "member_from", recorded)
     text = N1_CONFIG.replace("theta = 0.0", "theta = 0.0|0.4|0.8|1.2").replace(
-        "f1 = const 0.5+0i", "f1 = const 0.3+0.2i")
+        "f1 = const 0.5+0i", "f1 = const 0.3+0.2i * z[1]")
     cfg_path = _write(tmp_path, "sparse.ini", text)
     out = tmp_path / "out"
     assert run_cli(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == 2
     results = json.loads((out / "report.json").read_text())["results"]
     assert results["selection"]["indices"][:3] == [1, 5, 9]
-    assert results["recorded_indices"] == [143_309]
+    assert (3_763, 10**9, 3_765) in calls and (3_765, 10**9, 3_765) in calls
+    assert results["recorded_indices"] == [3_757]
     assert results["failure"]["stage"] == 2
     assert results["failure"]["error"] == "SequenceExhausted"
 

@@ -73,37 +73,63 @@ def swap_sequence():
 def test_project_constant_half():
     probe = CompactProbe.create(0.25, 1)
     pin = TorusPoint((1.0,))
-    g, achieved = project_to_family(
-        Constant(0.5, 1), pin, 20, 0.02, probe, EngineConfig.schur_depth
+    a, achieved = project_to_family(
+        Constant(0.5, 1), pin, 0.02, probe, EngineConfig.schur_depth
     )
-    assert achieved == probe_sup(g.product, Constant(0.5, 1), probe)
-    assert achieved <= 0.02 + 8 * 2.0**-20
+    assert achieved == probe_sup(a, Constant(0.5, 1), probe)
+    assert achieved <= 0.02
+    assert abs(a.eval(pin) - 1.0) < 1e-9
 
 
 def test_project_coordinate_is_exact():
+    # z is 1 at the pin already: it is its own pinned approximant
     probe = CompactProbe.create(0.25, 1)
     pin = TorusPoint((1.0,))
-    g, _ = project_to_family(
-        Coordinate(1, 1), pin, 20, 1e-6, probe, EngineConfig.schur_depth
+    a, achieved = project_to_family(
+        Coordinate(1, 1), pin, 1e-6, probe, EngineConfig.schur_depth
     )
-    assert g.approximant == Coordinate(1, 1)
-    assert probe_sup(g.product, Coordinate(1, 1), probe) <= 8 * 2.0**-20
+    assert (a, achieved) == (Coordinate(1, 1), 0.0)
 
 
 def test_project_unimodular_constant():
+    # a unimodular constant leaves no tail to set: it is shrunk by 1 - tol/2
+    # first, and pinned within 1e-9 at the engine's tolerances
     probe = CompactProbe.create(0.25, 1)
     pin = TorusPoint((1j,))
     u = Constant(complex(math.cos(0.8), math.sin(0.8)), 1)
-    g, _ = project_to_family(u, pin, 15, 1e-6, probe, EngineConfig.schur_depth)
-    assert abs(g.product.eval(pin) - 1.0) < 1e-9
+    a, achieved = project_to_family(u, pin, 0.0125, probe, EngineConfig.schur_depth)
+    assert achieved <= 0.0125
+    assert abs(a.eval(pin) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8])
+def test_unimodular_constant_pins_to_its_conditioning(tol):
+    # shrunk by 1 - tol/2, a unimodular constant's approximant has its zeros
+    # a gap of about tol/32 inside the circle (3e-8 at tol = 1e-6). Each
+    # zero is stored to an ulp, so its gap carries a relative error of about
+    # ulp / gap, which the pinned value inherits: the pin holds to a few
+    # ulp / gap (at most 11 over these pins, phases and tolerances), not to
+    # 1e-9
+    probe = CompactProbe.create(0.25, 1)
+    for pin in (1.0, -1.0, 1j, cmath.exp(2j)):
+        pin = TorusPoint((pin,))
+        for phase in (0.8, 2.5, -1.3):
+            u = Constant(cmath.exp(1j * phase), 1)
+            a, achieved = project_to_family(u, pin, tol, probe,
+                                            EngineConfig.schur_depth)
+            assert achieved <= tol
+            gap = min(1.0 - abs(leaf.factor.alpha) for leaf in a.children)
+            assert tol / 64 < gap < tol / 16
+            assert abs(a.eval(pin) - 1.0) <= 16 * 2.0**-52 / gap
 
 
 def test_project_bivariate_product_form():
     probe = CompactProbe.create(0.25, 2)
     pin = TorusPoint((1.0, 1.0))
     f = Product((Constant(0.5, 2), Coordinate(1, 2), Coordinate(2, 2)))
-    g, _ = project_to_family(f, pin, 16, 0.01, probe, EngineConfig.schur_depth)
-    assert probe_sup(g.product, f, probe) <= 0.01 + 8 * 2.0**-16
+    a, achieved = project_to_family(f, pin, 0.01, probe, EngineConfig.schur_depth)
+    assert achieved == probe_sup(a, f, probe) <= 0.01
+    assert abs(a.eval(pin) - 1.0) < 1e-9
 
 
 @pytest.mark.parametrize("power, constant", [
@@ -114,11 +140,48 @@ def test_project_power_of_a_constant_at_n2(power, constant):
     # a factor on no coordinate is multiplied into the constant
     probe = CompactProbe.create(0.25, 2)
     pin = TorusPoint((1.0, 1.0))
-    got, _ = project_to_family(parse_function_dsl(power, 2), pin, 16, 0.01, probe,
+    got, _ = project_to_family(parse_function_dsl(power, 2), pin, 0.01, probe,
                                EngineConfig.schur_depth)
-    want, _ = project_to_family(parse_function_dsl(constant, 2), pin, 16, 0.01,
+    want, _ = project_to_family(parse_function_dsl(constant, 2), pin, 0.01,
                                 probe, EngineConfig.schur_depth)
-    assert got.approximant == want.approximant
+    assert got == want
+
+
+@pytest.mark.parametrize("text, dimension", [
+    ("const 0.3-0.6i", 1),
+    ("blaschke(0.4+0.3i, 1.1)[1]", 1),
+    ("const 0.6+0.2i * z[1]^2", 1),
+    ("const 0.5+0.1i * blaschke(0.2-0.5i, 0.7)[2] * z[1]", 2),
+    ("blaschke(0.3+0i, 2.0)[2] * (const 0.7+0.2i * z[1])^2", 2),
+    ("blaschke(0.2-0.5i, 0.7)[2] * z[1]", 2),
+    ("const -0.2+0.4i", 2),
+])
+def test_project_meets_the_pin_within_tol(text, dimension):
+    # a phased constant, a Blaschke factor with B(gamma) != 1, which is
+    # shrunk, a power, at n = 2 a Blaschke part off the carrier, a carrier of
+    # two factors, a Blaschke carrier, and a pure constant
+    probe = CompactProbe.create(0.3, dimension)
+    f = parse_function_dsl(text, dimension)
+    for angle in (0.0, 2.0, -2.7):
+        pin = TorusPoint((cmath.exp(1j * angle),) + (cmath.exp(0.5j),) * (dimension - 1))
+        assert abs(f.eval(pin) - 1.0) > 0.01
+        a, achieved = project_to_family(f, pin, 0.0125, probe,
+                                        EngineConfig.schur_depth)
+        assert achieved == probe_sup(a, f, probe) <= 0.0125
+        assert abs(a.eval(pin) - 1.0) < 1e-9
+
+
+def test_project_rejects_an_entangled_blaschke_target_off_one_at_the_pin():
+    # (z1 z2)^2 is inner, but its value at the pin is not 1, and no
+    # per-variable split of it exists to pin
+    probe = CompactProbe.create(0.25, 2)
+    knot = Power(Product((Coordinate(1, 2), Coordinate(2, 2))), 2)
+    pin = TorusPoint((1.0, 1j))
+    with pytest.raises(UnsupportedTargetShape):
+        project_to_family(knot, pin, 0.01, probe, EngineConfig.schur_depth)
+    # at a pin where it is 1, it is its own pinned approximant
+    assert project_to_family(knot, TorusPoint((1.0, 1.0)), 0.01, probe,
+                             EngineConfig.schur_depth) == (knot, 0.0)
 
 
 def test_project_rejects_entangled_target():
@@ -130,7 +193,7 @@ def test_project_rejects_entangled_target():
     knot = Power(Product((Coordinate(1, 2), Coordinate(2, 2))), 2)
     f = Product((Constant(0.5, 2), knot))
     with pytest.raises(UnsupportedTargetShape):
-        project_to_family(f, pin, 16, 0.01, probe, EngineConfig.schur_depth)
+        project_to_family(f, pin, 0.01, probe, EngineConfig.schur_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +226,13 @@ def test_choose_stage_index_returns_the_values_of_its_index():
     first, second = run.stages
     factors = [first.factor.product]
     k, conds_a, cond_b = choose_stage_index(
-        run.selection, probe.axes(), factors, second.projected.product, j=2,
+        run.selection, probe.axes(), factors, second.projected, j=2,
         floor=first.chosen_index, delta=cfg.delta, k_max=cfg.k_max,
     )
     assert k == second.chosen_index
     assert len(conds_a) == 1
     assert (conds_a, cond_b) == stage_condition_values(
-        seq, probe.axes(), factors, second.projected.product, k
+        seq, probe.axes(), factors, second.projected, k
     )
     assert (conds_a, cond_b) == (second.condition_a, second.condition_b)
 
@@ -188,7 +251,7 @@ def test_re_search_lands_just_above_the_first_passing_index():
     axes = probe.axes()
     images = [seq.at(first.chosen_index).transform(axes)]
     lo, _, _ = choose_stage_index(
-        run.selection, axes, [first.factor.product], second.projected.product, j=2,
+        run.selection, axes, [first.factor.product], second.projected, j=2,
         floor=first.chosen_index, delta=cfg.delta, k_max=cfg.k_max,
     )
 
@@ -215,9 +278,9 @@ def test_a_re_search_probe_builds_its_automorphism_once(monkeypatch):
     axes = probe.axes()
     first = seq.at(400).transform(axes)
     projected, _ = project_to_family(Power(Coordinate(1, 1), 3), TorusPoint((1.0,)),
-                                     14, 0.0125, probe, EngineConfig.schur_depth)
+                                     0.0125, probe, EngineConfig.schur_depth)
     bounds = functools.partial(engine.retro_condition_values, [first],
-                               projected.approximant, 0.0125)
+                               projected, 0.0125)
     phi = seq.at(5_000)
     alone = bounds(phi.transform(axes), auto_inverse(phi))
     calls = []
@@ -225,10 +288,10 @@ def test_a_re_search_probe_builds_its_automorphism_once(monkeypatch):
     monkeypatch.setattr(engine, "auto_inverse",
                         lambda phi, inv=auto_inverse: calls.append("inverse") or inv(phi))
     factors = [Coordinate(1, 1)]
-    values, b = stage_condition_values(seq, axes, factors, projected.product, 5_000,
+    values, b = stage_condition_values(seq, axes, factors, projected, 5_000,
                                        bounds)
     assert calls == ["at", "inverse"]
-    plain, cond_b = stage_condition_values(seq, axes, factors, projected.product, 5_000)
+    plain, cond_b = stage_condition_values(seq, axes, factors, projected, 5_000)
     assert (values, b) == (plain + alone, cond_b)
 
 
@@ -237,10 +300,10 @@ def test_condition_b_contracts_with_index():
     probe = CompactProbe.create(0.3, 1)
     pin = TorusPoint((1.0,))
     projected, _ = project_to_family(
-        Constant(0.5, 1), pin, 13, 0.0125, probe, EngineConfig.schur_depth
+        Constant(0.5, 1), pin, 0.0125, probe, EngineConfig.schur_depth
     )
     values = [
-        stage_condition_values(seq, probe.axes(), [], projected.product, k)[1]
+        stage_condition_values(seq, probe.axes(), [], projected, k)[1]
         for k in (10, 100, 1000)
     ]
     assert values[0] > values[1] > values[2]
@@ -248,7 +311,7 @@ def test_condition_b_contracts_with_index():
     # for bit
     for k, value in zip((10, 100, 1000), values):
         pre = auto_inverse(seq.at(k)).transform(probe.grid())
-        pointwise = np.max(np.abs(projected.product.eval_grid(pre) - 1.0))
+        pointwise = np.max(np.abs(projected.eval_grid(pre) - 1.0))
         assert value == float(pointwise)
 
 
@@ -261,11 +324,11 @@ def test_sequence_exhausted_for_stalled_moduli():
     probe = CompactProbe.create(0.3, 1)
     pin = TorusPoint((1.0,))
     projected, _ = project_to_family(
-        Constant(0.5, 1), pin, 13, 0.0125, probe, EngineConfig.schur_depth
+        Constant(0.5, 1), pin, 0.0125, probe, EngineConfig.schur_depth
     )
     with pytest.raises(SequenceExhausted) as excinfo:
         choose_stage_index(
-            sel, probe.axes(), [], projected.product, j=1, floor=0,
+            sel, probe.axes(), [], projected, j=1, floor=0,
             delta=0.01, k_max=64,
         )
     best = excinfo.value.best
@@ -883,15 +946,22 @@ def shipped_config(name) -> EngineConfig:
 def test_torus_grid_sups_equal_those_of_the_three_ring_grid(make):
     # by the maximum principle each sup over r D^n sits on r T^n, and the
     # grid's points are the r ring's of {0, r/2, r}: so the fidelities and
-    # verification values are the three-ring grid's maxima, bit for bit
+    # verification values are the three-ring grid's maxima, bit for bit.
+    # A fidelity within 4 roundtrip errors of the stage is rounding, not a
+    # holomorphic sup (universal_n2_swap's stage 2 reads 5.96e-10 against a
+    # roundtrip error of 5.96e-10), and need not sit on the torus
     cfg = make()
     run = run_universality(cfg)
     assert run.failure is None
     rings = three_ring_axes(cfg.probe)
     for s in run.stages:
         image = cfg.sequence.at(s.chosen_index).transform(rings)
-        diff = s.factor.product._eval(image) - s.projected.product._eval(rings)
-        assert s.fidelity == float(np.max(np.abs(diff)))
+        diff = s.factor.product._eval(image) - s.projected._eval(rings)
+        floor = 4.0 * s.roundtrip_error
+        if s.fidelity > floor:
+            assert s.fidelity == float(np.max(np.abs(diff)))
+        else:
+            assert float(np.max(np.abs(diff))) <= floor
     for row, target in zip(run.verification, cfg.targets):
         image = cfg.sequence.at(row["best_index"]).transform(rings)
         diff = run.product._eval(image) - target._eval(rings)

@@ -268,6 +268,42 @@ def test_schur_stops_at_the_degree_of_a_blaschke_input(extra, angle, zeros):
     assert np.max(np.abs(b.eval_grid(zs) - f.eval_grid(zs))) < 1e-10
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    depth=st.integers(1, 12),
+    modulus=st.floats(0.0, 0.9),
+    angle=angles,
+    zeros=st.lists(st.tuples(st.floats(0.0, 0.6), angles, angles), max_size=3),
+    zeta=angles,
+    w=angles,
+)
+def test_schur_pin_sets_the_value_and_keeps_the_coefficients(
+        depth, modulus, angle, zeros, zeta, w):
+    # the tail eta is the truncation's one free parameter: pinned, the
+    # projection takes the value w at zeta, and its first d coefficients,
+    # with them its Schur parameters up to d - 1, are the unpinned
+    # projection's; its parameter d is its tail, on the circle
+    f = constant_times_blaschke(cmath.rect(modulus, angle), zeros)
+    coeffs = taylor_coeffs(f, depth)
+    zeta, w = cmath.exp(1j * zeta), cmath.exp(1j * w)
+    b, used = schur_project_adaptive(coeffs, depth, (zeta, w))
+    assert used == depth
+    assert abs(b.eval((zeta,)) - w) < 1e-11
+    free, _ = schur_project_adaptive(coeffs, depth)
+    assert np.max(np.abs(taylor_coeffs(b, depth - 1)
+                         - taylor_coeffs(free, depth - 1))) < 1e-12
+    gammas = schur_parameters(taylor_coeffs(b, depth + 1), depth + 1)
+    assert len(gammas) == depth + 1 and abs(abs(gammas[-1]) - 1.0) < 1e-12
+
+
+def test_schur_pin_leaves_a_blaschke_input_as_it_is():
+    # the recursion stops on the circle: the input fixes the tail, not the pin
+    f = BlaschkeFactor(MobiusFactor(0.5, 0.3), 1, 1)
+    coeffs = taylor_coeffs(f, 32)
+    assert (schur_project_adaptive(coeffs, 16, (1j, -1.0))
+            == schur_project_adaptive(coeffs, 16))
+
+
 def test_schur_parameters_of_constant():
     gammas = schur_parameters(taylor_coeffs(Constant(0.5, 1), 8), 4)
     assert gammas[0] == pytest.approx(0.5, abs=1e-13)
