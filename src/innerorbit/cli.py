@@ -48,6 +48,7 @@ from .dsl import (
 from .engine import EngineConfig, run_universality, verify_orbit
 from .errors import ConfigError, InnerOrbitError
 from .geometry import CompactProbe, default_points_per_dim
+from .holo import HoloFunction
 from .inner_tools import good_inner_trend, radial_modulus_report
 
 _MODES = ("diagnose-inner", "good-inner", "construct-universal", "verify-orbit")
@@ -131,6 +132,8 @@ class RunConfig:
     output: dict
     #: the parsed ``targets``; a run parses each target once, while loading
     functions: tuple = field(default=(), repr=False, compare=False)
+    #: the parsed ``[verify] x``, None when it is empty
+    verify_x: HoloFunction | None = field(default=None, repr=False, compare=False)
 
     def canonical_dict(self) -> dict:
         return {
@@ -409,12 +412,21 @@ def load_config(path: Path, mode_override=None, seed_override=None) -> RunConfig
             except InnerOrbitError as exc:
                 raise ConfigError(f"target {key!r}: {exc}") from exc
 
+    sections = {s: _read(cp, s, table)
+                for s, table in schema.items() if s != "sequence"}
+    x = sections["verify"]["x"]
+    try:
+        verify_x = parse_function_dsl(x, run["dimension"]) if x else None
+    except InnerOrbitError as exc:
+        raise ConfigError(f"[verify] x {exc}") from exc
+
     cfg = RunConfig(
         **run,
         sequence=sequence,
         targets=tuple(map(serialize_function, functions)),
         functions=tuple(functions),
-        **{s: _read(cp, s, table) for s, table in schema.items() if s != "sequence"},
+        verify_x=verify_x,
+        **sections,
     )
     _validate_config(cfg)
     return cfg
@@ -580,7 +592,7 @@ def _mode_verify(cfg: RunConfig):
     seq = build_sequence(cfg)
     targets = build_targets(cfg)
     probe = build_probe(cfg)
-    x = parse_function_dsl(cfg.verify["x"], cfg.dimension)
+    x = cfg.verify_x
     indices = cfg.verify["indices"] or None
     rows = [{**row, "expression": cfg.targets[row["target"] - 1]}
             for row in verify_orbit(x, seq, targets, probe, cfg.verify["k"], indices)]

@@ -11,7 +11,7 @@ Grammar (whitespace-insensitive):
     COMPLEX := REAL ("+"|"-") REAL "i"
 
 Serialization renders every float with 17 significant digits, so
-parse -> serialize -> parse is the identity on trees.
+parse -> serialize -> parse is the identity on trees within MAX_NESTING.
 """
 
 from __future__ import annotations
@@ -30,232 +30,198 @@ from .holo import (
     Product,
 )
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-      | (?P<name>[A-Za-z_]+)
-      | (?P<sym>[*^()\[\]{}=,+-])
-    """,
-    re.VERBOSE,
-)
+_TOKEN_RE = re.compile(r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+                       r"|(?P<name>[A-Za-z_]+)"
+                       r"|(?P<sym>[*^()\[\]{}=,+-])"
+                       r"|(?P<bad>\S))")
+
+#: the deepest nesting a text may have: each "(", "compose(" and applied
+#: "^" is one level, and a power sits one level above the deepest level of
+#: its operand, so neither the reader nor the tree it builds nests further
+#: than this and both stay well within the interpreter's recursion limit.
+#: The serializer puts parentheses around a power of a power, and they
+#: count too: a chain of m powers reads at m levels but serializes at 2m - 1.
+MAX_NESTING = 100
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind, text, line, column):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
+def _position(text: str, offset: int) -> tuple:
+    """(line, column) of ``offset`` in ``text``, both counted from 1."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str):
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind != "ws":
-            tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+def _tokenize(text: str) -> list:
+    """(kind, text, offset) of every token, then an eof token at the end."""
+    tokens = [(m.lastgroup, m[m.lastindex], m.start(m.lastindex))
+              for m in _TOKEN_RE.finditer(text)]
+    for kind, chunk, offset in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {chunk!r}",
+                             *_position(text, offset))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the tokens. A token's text fixes its kind,
+    numbers apart, so the grammar compares texts only."""
+
     def __init__(self, text: str, dimension: int):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        #: the nesting level, and the deepest one the current factor reached
+        self.depth = self.reach = 0
         self.dimension = dimension
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def peek(self) -> str:
+        return self.tokens[self.pos][1]
 
     def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.column)
+        raise ParseError(message, *_position(self.text, self.tokens[self.pos][2]))
 
-    def expect_sym(self, sym: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "sym" or tok.text != sym:
-            self.fail(f"expected {sym!r}, found {tok.text!r}")
-        return self.next()
+    def accept(self, text: str) -> bool:
+        if self.tokens[self.pos][1] != text:
+            return False
+        self.pos += 1
+        return True
 
-    def expect_name(self, name: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "name" or tok.text != name:
-            self.fail(f"expected {name!r}, found {tok.text!r}")
-        return self.next()
+    def expect(self, text: str) -> None:
+        if not self.accept(text):
+            self.fail(f"expected {text!r}, found {self.peek()!r}")
+
+    def nest(self, text: str) -> bool:
+        """accept(text), with ``text`` opening one more level of nesting."""
+        if self.peek() == text and self.depth == MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels")
+        opened = self.accept(text)
+        self.depth += opened
+        return opened
 
     # ---- numeric literals ------------------------------------------------
-    def parse_real(self) -> float:
-        sign = 1.0
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text in "+-":
-            self.next()
-            sign = -1.0 if tok.text == "-" else 1.0
-            tok = self.peek()
-        if tok.kind != "number":
-            self.fail(f"expected a number, found {tok.text!r}")
-        self.next()
-        return sign * float(tok.text)
+    def parse_real(self, message="expected a number, found {!r}") -> float:
+        """A number after an optional sign; ``message`` names what is missing."""
+        sign = -1.0 if self.peek() == "-" else 1.0
+        if self.peek() in ("+", "-"):
+            self.pos += 1
+        kind, text, _ = self.tokens[self.pos]
+        if kind != "number":
+            self.fail(message.format(text))
+        self.pos += 1
+        return sign * float(text)
 
     def parse_int(self) -> int:
-        tok = self.peek()
-        if tok.kind != "number" or not re.fullmatch(r"\d+", tok.text):
-            self.fail(f"expected an integer, found {tok.text!r}")
-        self.next()
-        return int(tok.text)
+        text = self.peek()
+        if not text.isdecimal():
+            self.fail(f"expected an integer, found {text!r}")
+        self.pos += 1
+        return int(text)
 
     def parse_complex(self) -> complex:
         re_part = self.parse_real()
-        tok = self.peek()
-        if tok.kind != "sym" or tok.text not in "+-":
+        if self.peek() not in ("+", "-"):
             self.fail("expected '+' or '-' inside a complex literal")
-        self.next()
-        sign = -1.0 if tok.text == "-" else 1.0
-        tok = self.peek()
-        if tok.kind != "number":
-            self.fail("expected the imaginary part of a complex literal")
-        self.next()
-        im = sign * float(tok.text)
-        self.expect_name("i")
+        im = self.parse_real("expected the imaginary part of a complex literal")
+        self.expect("i")
         return complex(re_part, im)
 
-    def parse_list(self, parse_item, what: str):
-        self.expect_sym("[")
+    def parse_list(self, parse_item, *opening) -> list:
+        """``opening``, then "[" item {"," item} "]"."""
+        for text in (*opening, "["):
+            self.expect(text)
         items = [parse_item()]
-        while self.peek().kind == "sym" and self.peek().text == ",":
-            self.next()
+        while self.accept(","):
             items.append(parse_item())
-        self.expect_sym("]")
-        if not items:
-            self.fail(f"empty {what} list")
+        self.expect("]")
         return items
 
     # ---- grammar ---------------------------------------------------------
     def parse_expr(self) -> HoloFunction:
         factors = [self.parse_factor()]
-        while self.peek().kind == "sym" and self.peek().text == "*":
-            self.next()
+        while self.accept("*"):
             factors.append(self.parse_factor())
-        if len(factors) == 1:
-            return factors[0]
-        return Product(tuple(factors))
+        return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
     def parse_factor(self) -> HoloFunction:
+        depth, reach = self.depth, self.reach
+        self.reach = depth
         node = self.parse_primary()
-        while self.peek().kind == "sym" and self.peek().text == "^":
-            self.next()
+        self.depth = self.reach  # a power sits above all of its operand
+        while self.nest("^"):
             exponent = self.parse_int()
             try:
                 node = Power(node, exponent)
             except ValidityError as exc:
                 self.fail(str(exc))
+        self.depth, self.reach = depth, max(reach, self.depth)
         return node
 
     def parse_coord_suffix(self) -> int:
-        self.expect_sym("[")
+        self.expect("[")
         index = self.parse_int()
-        self.expect_sym("]")
+        self.expect("]")
         return index
 
     def parse_primary(self) -> HoloFunction:
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == "(":
-            self.next()
+        if self.nest("("):
             node = self.parse_expr()
-            self.expect_sym(")")
+            self.expect(")")
+            self.depth -= 1
             return node
-        if tok.kind != "name":
-            self.fail(f"expected a function term, found {tok.text!r}")
-        if tok.text == "const":
-            self.next()
+        if self.nest("compose"):
+            self.expect("(")
+            outer = self.parse_expr()
+            self.expect(",")
+            auto = self.parse_autospec()
+            self.expect(")")
+            self.depth -= 1
+            return Composed(auto, outer)
+        if self.accept("const"):
             value = self.parse_complex()
             return self._build(Constant, value, self.dimension)
-        if tok.text == "z":
-            self.next()
+        if self.accept("z"):
             index = self.parse_coord_suffix()
             return self._build(Coordinate, index, self.dimension)
-        if tok.text == "blaschke":
-            self.next()
-            self.expect_sym("(")
+        if self.accept("blaschke"):
+            self.expect("(")
             alpha = self.parse_complex()
-            self.expect_sym(",")
+            self.expect(",")
             theta = self.parse_real()
-            self.expect_sym(")")
+            self.expect(")")
             coord = self.parse_coord_suffix()
             factor = self._build(MobiusFactor, alpha, theta)
             return self._build(BlaschkeFactor, factor, coord, self.dimension)
-        if tok.text == "compose":
-            self.next()
-            self.expect_sym("(")
-            outer = self.parse_expr()
-            self.expect_sym(",")
-            auto = self.parse_autospec()
-            self.expect_sym(")")
-            return self._build(Composed, auto, outer)
-        self.fail(f"unknown term {tok.text!r}")
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "name":
+            self.fail(f"unknown term {text!r}")
+        self.fail(f"expected a function term, found {text!r}")
 
     def parse_autospec(self) -> PolydiskAutomorphism:
-        self.expect_name("auto")
-        self.expect_sym("{")
-        self.expect_name("p")
-        self.expect_sym("=")
-        perm = self.parse_list(self.parse_int, "permutation")
-        self.expect_sym(",")
-        self.expect_name("a")
-        self.expect_sym("=")
-        alphas = self.parse_list(self.parse_complex, "alpha")
-        self.expect_sym(",")
-        self.expect_name("t")
-        self.expect_sym("=")
-        thetas = self.parse_list(self.parse_real, "theta")
-        self.expect_sym("}")
+        self.expect("auto")
+        perm, alphas, thetas = [
+            self.parse_list(parse_item, opener, key, "=")
+            for opener, key, parse_item in (("{", "p", self.parse_int),
+                                            (",", "a", self.parse_complex),
+                                            (",", "t", self.parse_real))]
+        self.expect("}")
         if not len(perm) == len(alphas) == len(thetas) == self.dimension:
-            self.fail(
-                f"automorphism lists must all have length {self.dimension}"
-            )
-        factors = tuple(
-            self._build(MobiusFactor, a, t) for a, t in zip(alphas, thetas)
-        )
-        return self._build(
-            PolydiskAutomorphism, factors, tuple(p - 1 for p in perm)
-        )
+            self.fail(f"automorphism lists must all have length {self.dimension}")
+        factors = tuple(self._build(MobiusFactor, a, t) for a, t in zip(alphas, thetas))
+        return self._build(PolydiskAutomorphism, factors, tuple(p - 1 for p in perm))
 
     def _build(self, cls, *args):
         try:
             return cls(*args)
-        except (ValidityError,) as exc:
-            tok = self.peek()
-            raise ValidityError(
-                f"{exc} (near line {tok.line}, column {tok.column})"
-            ) from exc
+        except ValidityError as exc:
+            line, column = _position(self.text, self.tokens[self.pos][2])
+            raise ValidityError(f"{exc} (near line {line}, column {column})") from exc
 
 
 def _parse_whole(text: str, dimension: int, rule):
     """``rule`` applied to all of ``text``; input left over is a ParseError."""
     parser = _Parser(text, dimension)
     node = rule(parser)
-    tok = parser.peek()
-    if tok.kind != "eof":
-        parser.fail(f"trailing input {tok.text!r}")
+    if parser.peek():
+        parser.fail(f"trailing input {parser.peek()!r}")
     return node
 
 

@@ -847,6 +847,34 @@ def test_sequence_key_of_the_other_kind_exits_one(tmp_path, capsys, text, key, k
     )
 
 
+@pytest.mark.parametrize("target,column", [
+    ("(" * 330 + "z[1]" + ")" * 330, 101),
+    ("z[1]" + "^1" * 1000, 205),
+], ids=["parentheses", "powers"])
+def test_target_nested_past_the_bound_exits_one(tmp_path, capsys, target, column):
+    text = N1_CONFIG.replace("f1 = const 0.5+0i", f"f1 = {target}")
+    cfg_path = _write(tmp_path, "deep.ini", text)
+    out = tmp_path / "out"
+    assert run_cli(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "ConfigError", "message": "target 'f1': nesting deeper "
+                     f"than 100 levels (line 1, column {column})"}
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["verify-orbit", "construct-universal"])
+def test_malformed_verify_x_exits_one_in_every_mode(tmp_path, capsys, mode):
+    text = (VERIFY_EXPLICIT.replace("x = z[1]", "x = z[1] * bogus")
+            .replace("verify-orbit", mode) + "k = 2\n")
+    cfg_path = _write(tmp_path, "x.ini", text)
+    out = tmp_path / "out"
+    assert run_cli(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "ConfigError", "message": "[verify] x unknown term "
+                     "'bogus' (line 1, column 8)"}
+    assert not (out / "report.json").exists()
+
+
 SECOND_AUTO = "auto{p=[1], a=[0.9+0i], t=[0.0]}"
 
 

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from innerorbit import (
     BlaschkeFactor,
@@ -11,6 +15,7 @@ from innerorbit import (
     parse_function_dsl,
     serialize_function,
 )
+from innerorbit.dsl import MAX_NESTING, parse_autospec, parse_complex
 from innerorbit.errors import ParseError, ValidityError
 
 from util import random_blaschke_tree, random_interior_points
@@ -109,3 +114,117 @@ def test_whitespace_insensitive():
     a = parse_function_dsl("const 0.5 + 0 i * z[1]".replace(" ", ""), 1)
     b = parse_function_dsl("const 0.5 + 0 i  *  z[ 1 ]", 1)
     assert a == b
+
+
+# (reader, text, dimension, error class or None, message, line, column); a
+# ValidityError carries its position in the message only
+ERROR_TABLE = [
+    (parse_function_dsl, "z[1] *\n  z[2] # x", 2, ParseError,
+     "unexpected character '#'", 2, 8),
+    (parse_function_dsl, "z[1] * ;", 1, ParseError,
+     "unexpected character ';'", 1, 8),
+    (parse_function_dsl, "const 0.5+0 ", 1, ParseError,
+     "expected 'i', found ''", 1, 13),
+    (parse_function_dsl, "z[1]^0", 1, ParseError,
+     "power exponent must be >= 1", 1, 7),
+    (parse_function_dsl, "z[1]^-1", 1, ParseError,
+     "expected an integer, found '-'", 1, 6),
+    (parse_function_dsl, "(z[1]", 1, ParseError,
+     "expected ')', found ''", 1, 6),
+    (parse_function_dsl, "z[1.5]", 1, ParseError,
+     "expected an integer, found '1.5'", 1, 3),
+    (parse_function_dsl, "\n\nz[3]", 2, ValidityError,
+     "coordinate 3 out of range 1..2 (near line 3, column 5)", None, None),
+    (parse_function_dsl, "blaschke(1.5+0i, 0)[1]", 1, ValidityError,
+     "|alpha| = 1.5 is not < 1 (near line 1, column 23)", None, None),
+    (parse_function_dsl, "blaschke(0.5+0i 0)[1]", 1, ParseError,
+     "expected ',', found '0'", 1, 17),
+    (parse_function_dsl, "const 0.5 0i", 1, ParseError,
+     "expected '+' or '-' inside a complex literal", 1, 11),
+    (parse_function_dsl, "const 0.5+i", 1, ParseError,
+     "expected the imaginary part of a complex literal", 1, 11),
+    (parse_function_dsl, "foo[1]", 1, ParseError, "unknown term 'foo'", 1, 1),
+    (parse_function_dsl, "* z[1]", 1, ParseError,
+     "expected a function term, found '*'", 1, 1),
+    (parse_function_dsl, "", 1, ParseError,
+     "expected a function term, found ''", 1, 1),
+    (parse_function_dsl, "z[1] z[1]", 1, ParseError, "trailing input 'z'", 1, 6),
+    (parse_function_dsl, "compose(z[1], auto{p=[1], q=[0+0i], t=[0]})", 1,
+     ParseError, "expected 'a', found 'q'", 1, 27),
+    (parse_function_dsl, "compose(z[1], auto{p=[1], a=[0+0i], t=[0]} )) ", 1,
+     ParseError, "trailing input ')'", 1, 45),
+    (parse_autospec, "auto{p=[1,2], a=[0+0i], t=[0]}", 2, ParseError,
+     "automorphism lists must all have length 2", 1, 31),
+    (parse_autospec, "auto{p=[2,2], a=[0+0i,0+0i], t=[0,0]}", 2, ValidityError,
+     "(1, 1) is not a permutation of 0..1 (near line 1, column 38)", None, None),
+    (lambda text, n: parse_complex(text), "1+2i x", 1, ParseError,
+     "trailing input 'x'", 1, 6),
+    (parse_function_dsl, "z[1]\t\n", 1, None, None, None, None),
+    (parse_function_dsl, "z[1] *\tz[1]\n\n", 1, None, None, None, None),
+]
+
+
+@pytest.mark.parametrize("reader,text,n,cls,message,line,column", ERROR_TABLE)
+def test_error_class_message_and_position(reader, text, n, cls, message, line,
+                                          column):
+    if cls is None:
+        reader(text, n)
+        return
+    with pytest.raises(cls) as err:
+        reader(text, n)
+    if cls is ParseError:
+        message += f" (line {line}, column {column})"
+        assert (err.value.line, err.value.column) == (line, column)
+    assert type(err.value) is cls
+    assert str(err.value) == message
+
+
+_SERIAL_TOKEN = re.compile(r"[0-9.]+(?:e[+-][0-9]+)?|[A-Za-z_]+|\S")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 2), st.integers(0, 2**32 - 1), st.booleans())
+def test_whitespace_between_tokens_keeps_the_tree(data, n, seed, with_constant):
+    f = random_blaschke_tree(np.random.default_rng(seed), n,
+                             with_constant=with_constant)
+    tokens = _SERIAL_TOKEN.findall(serialize_function(f))
+    gaps = data.draw(st.lists(st.text(" \t\n", max_size=4),
+                              min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    text = "".join(g + t for g, t in zip(gaps, tokens + [""]))
+    assert parse_function_dsl(text, n) == f
+
+
+AUTO_1 = "auto{p=[1], a=[0+0i], t=[0]}"
+
+
+def _compose(text: str, times: int) -> str:
+    return "compose(" * times + text + f", {AUTO_1})" * times
+
+
+_M = MAX_NESTING
+
+
+# (a text at the bound, the one-level-deeper text, the column refusing it)
+@pytest.mark.parametrize("text,deeper,column", [
+    ("(" * _M + "z[1]" + ")" * _M, "(" * (_M + 1) + "z[1]" + ")" * (_M + 1), _M + 1),
+    (_compose("z[1]^1", _M - 1), _compose("z[1]^1^1", _M - 1), 8 * (_M - 1) + 7),
+    ("(z[1] * " * _M + "z[1]" + ")" * _M,
+     "(z[1] * " * (_M + 1) + "z[1]" + ")" * (_M + 1), 8 * _M + 1),
+], ids=["parentheses", "compose-power", "products"])
+def test_nesting_at_the_bound_round_trips_and_one_more_level_is_refused(
+        text, deeper, column):
+    f = parse_function_dsl(text, 1)
+    assert parse_function_dsl(serialize_function(f), 1) == f
+    with pytest.raises(ParseError) as err:
+        parse_function_dsl(deeper, 1)
+    assert str(err.value).startswith(f"nesting deeper than {_M} levels")
+    assert (err.value.line, err.value.column) == (1, column)
+
+
+def test_powers_stack_on_their_operand():
+    """``(z[1]^1 ...)^1 ...``: the outer powers nest above the inner ones,
+    as they do in the tree."""
+    inner = "(" + "z[1]" + "^1" * (MAX_NESTING - 2) + ")"
+    assert isinstance(parse_function_dsl(inner + "^1", 1), Power)
+    with pytest.raises(ParseError, match="nesting deeper"):
+        parse_function_dsl(inner + "^1^1", 1)
