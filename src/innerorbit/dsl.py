@@ -145,7 +145,7 @@ class _Parser:
         depth, reach = self.depth, self.reach
         self.reach = depth
         node = self.parse_primary()
-        self.depth = self.reach  # a power sits above all of its operand
+        self.depth = self.reach  # a power sits above its operand's deepest level
         while self.nest("^"):
             exponent = self.parse_int()
             try:
