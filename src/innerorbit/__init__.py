@@ -69,6 +69,7 @@ from .holo import (
     HoloFunction,
     Power,
     Product,
+    axis_factors,
     flatten,
     is_blaschke_type,
     product_of,

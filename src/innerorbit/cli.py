@@ -633,11 +633,13 @@ def _keep_freed_memory() -> None:
     By default glibc maps each large block afresh and unmaps it on free, or
     trims the freed heap top, so the next numpy temporary faults its pages
     in again (about 3 us per 4 KiB). Here blocks up to 32 MiB, twice the
-    largest temporary (an ``inner_tools._CHUNK``-point complex shell block,
-    16 MiB), come from the heap, and the heap top is trimmed only past
-    64 MiB free: twice that, the ratio of glibc's own dynamic rule. Where
-    libc has no ``mallopt`` or refuses a value, nothing changes; no result
-    depends on it.
+    largest temporary of the torus diagnostics, come from the heap: that is
+    the values on an ``inner_tools._CHUNK``-point block of a shell at n = 1,
+    16 MiB of complex, while at n >= 2 they hold n * q moduli and a clamped
+    mean's blocks of ``_CHUNK`` real products take 8 MiB. The heap top is
+    trimmed only past 64 MiB free: twice that, the ratio of glibc's own
+    dynamic rule. Where libc has no ``mallopt`` or refuses a value, nothing
+    changes; no result depends on it.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

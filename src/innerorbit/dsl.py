@@ -286,7 +286,10 @@ def serialize_function(f: HoloFunction) -> str:
 
 
 def _serialize_factor(f: HoloFunction) -> str:
+    """A product's or a power's operand: a product in parentheses. A power
+    needs none ("z[1]^2^3" and "z[1]^2 * z[2]" read back as the same trees),
+    and its text then nests as deep as the tree."""
     text = serialize_function(f)
-    if isinstance(f, (Product, Power)):
+    if isinstance(f, Product):
         return f"({text})"
     return text

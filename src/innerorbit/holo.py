@@ -20,6 +20,11 @@ every product names its operand order (``np.multiply``) rather than leave
 it to numpy, which swaps the operands of ``a * b`` when it can reuse a
 large temporary ``b``; a point's value therefore does not depend on the
 size or layout of the array it is evaluated in.
+
+On a tensor grid every leaf's values lie along one array dimension, so
+``axis_factors`` can give a tree as one factor per dimension instead, whose
+broadcast product is its values up to rounding; the torus diagnostics work
+on those factors' moduli.
 """
 
 from __future__ import annotations
@@ -248,6 +253,58 @@ class Composed(HoloFunction):
 
     def _eval(self, pts):
         return self.outer._eval(self.auto.transform(pts))
+
+
+def axis_factors(f: HoloFunction, pts: PointAxes) -> tuple:
+    """f's values on a tensor grid as one complex factor per array
+    dimension, whose broadcast product is f's values up to rounding.
+
+    On a tensor grid (each coordinate array longer than 1 along at most one
+    dimension, as ``PointAxes.tensor`` and its automorphism images lay
+    them) every leaf's values lie along one array dimension, dimension 0
+    for a constant. Factor d folds the leaves along dimension d in tree
+    order, a power raises each factor, and a composition evaluates its
+    outer tree on the image grid, as ``_eval`` does; a dimension no leaf
+    lies along has the factor 1. With one array dimension the one factor
+    is ``f._eval(pts)`` bit for bit. The product of the factors regroups
+    the pointwise product, so at n >= 2 it is equal only up to rounding.
+    """
+    for c in pts.coords:
+        if sum(s > 1 for s in c.shape) > 1:
+            raise ValidityError(
+                f"coordinate array of shape {c.shape} is no tensor-grid axis")
+    ndim = pts.coords[0].ndim
+    ones = np.ones((1,) * ndim, dtype=complex)
+    return tuple(ones if v is None else v for v in _axis_fold(f, pts, ndim))
+
+
+def _along(v: np.ndarray) -> int:
+    """The array dimension a leaf's values lie along (0 for one value)."""
+    return next((d for d, s in enumerate(v.shape) if s > 1), 0)
+
+
+def _axis_fold(f, pts, ndim) -> list:
+    """``axis_factors`` with None for a dimension no leaf lies along."""
+    if isinstance(f, Composed):
+        return _axis_fold(f.outer, f.auto.transform(pts), ndim)
+    if isinstance(f, Power):
+        return [None if v is None else v**f.exponent
+                for v in _axis_fold(f.child, pts, ndim)]
+    out = [None] * ndim
+    if not isinstance(f, Product):
+        v = f._eval(pts)
+        out[_along(v)] = v
+        return out
+    for run in f._runs:
+        if isinstance(run, HoloFunction):
+            parts = enumerate(_axis_fold(run, pts, ndim))
+        else:
+            d = _along(pts.coords[run[0] - 1])
+            parts = ((d, v) for v in _stacked_leaves(*run, pts))
+        for d, v in parts:
+            if v is not None:
+                out[d] = v if out[d] is None else np.multiply(out[d], v)
+    return out
 
 
 def taylor_coeffs(f: HoloFunction, count: int) -> np.ndarray:

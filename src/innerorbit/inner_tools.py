@@ -3,8 +3,10 @@
 Diagnostics: radial modulus reports, torus means of log|g| with clamping
 (trapezoid rule on the torus, spectrally accurate away from zero shells),
 and a Jensen-formula oracle for finite Blaschke products. A torus shell
-r T^n is a tensor grid held one axis per coordinate (``PointAxes``), so a
-Blaschke factor costs q Moebius evaluations rather than q^n.
+r T^n is a tensor grid held one axis per coordinate (``PointAxes``), and
+every leaf of a tree depends on one coordinate, so |g| on the shell is a
+product of one modulus per axis (``holo.axis_factors``): both diagnostics
+work on those n * q moduli and build no complex array of the q^n points.
 
 Construction: the Schur-algorithm projector onto finite Blaschke products,
 optionally pinned to a value at a boundary point through its tail, the
@@ -17,6 +19,7 @@ of the distinguished boundary.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +41,7 @@ from .holo import (
     HoloFunction,
     Power,
     Product,
+    axis_factors,
     flatten,
     is_blaschke_type,
 )
@@ -64,6 +68,15 @@ def _shell_blocks(axis: np.ndarray, dimension: int):
         yield PointAxes((first[lo : lo + step],) + rest)
 
 
+def _shell_moduli(f: HoloFunction, axis: np.ndarray):
+    """The moduli of ``axis_factors(f, block)`` for each ``_shell_blocks``
+    block of the torus shell axis^dimension: per block one real array per
+    array dimension, whose broadcast product is |f| on the block up to
+    rounding (exactly, with one dimension)."""
+    for block in _shell_blocks(axis, f.dimension):
+        yield block, [np.abs(v) for v in axis_factors(f, block)]
+
+
 @dataclass(frozen=True)
 class RadialReport:
     """Worst-case deviation of |f| from 1 on shrinking torus shells."""
@@ -79,7 +92,12 @@ _RADII = (0.9, 0.99, 0.999)
 def radial_modulus_report(
     f: HoloFunction, radii=_RADII, angles_per_dim: int = 256
 ) -> RadialReport:
-    """max over the angle grid of |1 - |f(r zeta)|| for each radius."""
+    """max over the angle grid of |1 - |f(r zeta)|| for each radius.
+
+    |1 - m| is largest at the extremes of m, and on a tensor grid of
+    products of per-axis moduli those extremes are the products of the
+    per-axis extremes, so each block costs n * q moduli, not q^n.
+    """
     radii = tuple(float(r) for r in radii)
     if any(not 0.0 < r < 1.0 for r in radii):
         raise ValidityError("radii must lie in (0, 1)")
@@ -89,12 +107,17 @@ def radial_modulus_report(
     deviations = []
     for r in radii:
         worst = 0.0
-        for block in _shell_blocks(r * circle, f.dimension):
-            # the max of the broadcast values is the max over the block
-            vals = f._eval(block)
-            worst = max(worst, float(np.max(np.abs(1.0 - np.abs(vals)))))
+        for _, moduli in _shell_moduli(f, r * circle):
+            lo = math.prod(float(np.min(m)) for m in moduli)
+            hi = math.prod(float(np.max(m)) for m in moduli)
+            worst = max(worst, abs(1.0 - lo), abs(1.0 - hi))
         deviations.append(worst)
     return RadialReport(radii=radii, deviations=tuple(deviations))
+
+
+#: ulp of margin per factor by which the least product of per-axis moduli
+#: must clear the clamp floor before no point of the shell counts as clamped
+_CLAMP_ULPS = 4
 
 
 def good_inner_integral_detail(
@@ -106,6 +129,12 @@ def good_inner_integral_detail(
     degree < quad_points per variable, spectrally accurate for integrands
     analytic in a strip, i.e. whenever no zero of g sits near the sampled
     shell.
+
+    |g| on the shell is a product of one modulus m_d per array dimension,
+    so where no point can reach the floor exp(-clamp) the mean is the sum
+    over d of the mean of log m_d, from n * q moduli. Otherwise the clamped
+    mean is taken over the grid of products of the same moduli, block by
+    block, the points in C order.
     """
     if not 0.0 < r < 1.0:
         raise ValidityError(f"radius {r} not in (0, 1)")
@@ -114,16 +143,27 @@ def good_inner_integral_detail(
     if clamp <= 0.0:
         raise ValidityError("clamp level must be positive")
     floor = math.exp(-clamp)
+    n = g.dimension
+    axis = torus_axis(r, quad_points, n)
+    lo = math.inf
+    sums, sizes = [0.0] * n, [0] * n
+    for _, moduli in _shell_moduli(g, axis):
+        lo = min(lo, math.prod(float(np.min(m)) for m in moduli))
+        # a zero modulus gives -inf: the sums are then left unused
+        with np.errstate(divide="ignore"):
+            for d, m in enumerate(moduli):
+                sums[d] += float(np.sum(np.log(m)))
+                sizes[d] += m.size
+    if lo > floor * (1.0 + _CLAMP_ULPS * n * np.finfo(float).eps):
+        return sum(s / k for s, k in zip(sums, sizes)), 0
     total = 0.0
     clamped = 0
-    for block in _shell_blocks(torus_axis(r, quad_points, g.dimension), g.dimension):
-        # expanded to one value per point: the sum runs over the block's
-        # points in C order
-        mods = block.expand(np.abs(g._eval(block)))
+    for block, moduli in _shell_moduli(g, axis):
+        mods = block.expand(functools.reduce(np.multiply, moduli))
         small = mods <= floor
         clamped += int(np.count_nonzero(small))
         total += float(np.sum(np.log(np.maximum(mods, floor))))
-    return total / quad_points**g.dimension, clamped
+    return total / quad_points**n, clamped
 
 
 def jensen_oracle(zeros, value_at_0_modulus: float, r: float) -> float:

@@ -862,6 +862,19 @@ def test_target_nested_past_the_bound_exits_one(tmp_path, capsys, target, column
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("powers", [50, 60, 100])
+def test_power_chain_target_round_trips_through_its_canonical_text(tmp_path, powers):
+    # a chain of m powers reads at m levels; its canonical text must too
+    target = "z[1]" + "^1" * powers
+    text = N1_CONFIG.replace("f1 = const 0.5+0i", f"f1 = {target}")
+    cfg = load_config(_write(tmp_path, "chain.ini", text))
+    assert cfg.targets[0] == target
+    canonical = serialize_config(cfg)
+    again = load_config(_write(tmp_path, "chain_canonical.ini", canonical))
+    assert again == cfg
+    assert serialize_config(again) == canonical
+
+
 @pytest.mark.parametrize("mode", ["verify-orbit", "construct-universal"])
 def test_malformed_verify_x_exits_one_in_every_mode(tmp_path, capsys, mode):
     text = (VERIFY_EXPLICIT.replace("x = z[1]", "x = z[1] * bogus")
